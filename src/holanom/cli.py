@@ -17,25 +17,28 @@ from pathlib import Path
 
 from . import univariate
 from .anomaly import (
+    GAUGE_GENERATORS,
     AnomalyReport,
     anomaly_polynomial,
     classify,
     context_for_theory,
     gauge_obstruction,
-    mixed_monomials,
+    monomial_buckets,
     multiplet_table,
     physical_ac,
-    pure_gauge_monomials,
     solve_r,
     t_background_obstruction,
 )
 from .chern import pushforward_curve
 from .duality import SQCDSpec, electric_anomalies, electric_theory, quark_charge, seiberg_match
-from .ring import format_rational, parse_rational
+from .ring import GeneratorSet, format_rational, parse_rational
 from .theory import ConfigurationError, ConsistencyError, Theory, twist_content
 from .theoryfile import TheoryParseError, parse_theory_file
 
 Record = tuple[str, object]
+
+# report key prefix of each AnomalyReport bucket, in report order
+_BUCKET_PREFIXES = {"gravitational": "grav", "pure_gauge": "gauge", "mixed": "mixed"}
 
 
 def _rational_argument(token: str) -> Fraction:
@@ -63,8 +66,14 @@ def render_records(records: list[Record], as_json: bool) -> str:
     return "\n".join(f"{key} = {_render_value(value)}" for key, value in records)
 
 
-def _report_records(theory: Theory, report: AnomalyReport) -> list[Record]:
-    ctx = context_for_theory(theory)
+def _report_records(ctx: GeneratorSet, report: AnomalyReport) -> list[Record]:
+    """Central charges, then every monomial of the listed buckets (zeros
+    included), then the two obstruction flags.
+
+    The gravitational bucket is listed from dimension 3 on, where no
+    central charge summarizes it; the gauge buckets only when the context
+    has gauge generators, since otherwise they are empty.
+    """
     records: list[Record] = []
     if report.n == 2:
         a, c = physical_ac(report.a_hol, report.c_hol)
@@ -76,10 +85,17 @@ def _report_records(theory: Theory, report: AnomalyReport) -> list[Record]:
         ]
     elif report.n == 1:
         records.append(("virasoro_c", report.virasoro_c))
-    for name in pure_gauge_monomials(ctx, report.n):
-        records.append((f"gauge.{name}", report.pure_gauge.get(name, Fraction(0))))
-    for name in mixed_monomials(ctx, report.n):
-        records.append((f"mixed.{name}", report.mixed.get(name, Fraction(0))))
+    listed = ["gravitational"] if report.n >= 3 else []
+    if GAUGE_GENERATORS.intersection(ctx.names):
+        listed += ["pure_gauge", "mixed"]
+    if listed:
+        names = monomial_buckets(ctx, report.n)
+        for bucket in listed:
+            values = getattr(report, bucket)
+            records += [
+                (f"{_BUCKET_PREFIXES[bucket]}.{name}", values.get(name, Fraction(0)))
+                for name in names[bucket]
+            ]
     _, gauge_free = gauge_obstruction(report)
     _, t_free = t_background_obstruction(report)
     records += [("gauge_free", gauge_free), ("t_free", t_free)]
@@ -92,11 +108,9 @@ def _load_theory(path: str) -> Theory:
 
 def _cmd_compute(args) -> list[Record]:
     theory = _load_theory(args.file)
-    report = classify(
-        anomaly_polynomial(twist_content(theory), context_for_theory(theory)),
-        theory.dimension,
-    )
-    return _report_records(theory, report)
+    ctx = context_for_theory(theory)
+    report = classify(anomaly_polynomial(twist_content(theory), ctx), theory.dimension)
+    return _report_records(ctx, report)
 
 
 def _cmd_table(args) -> list[Record]:
@@ -184,18 +198,7 @@ def _cmd_compactify(args) -> list[Record]:
         raise ConfigurationError("compactify expects gravitational-only content")
     poly = anomaly_polynomial(content, context_for_theory(theory))
     pushed = pushforward_curve(poly, 1, args.fiber_chi)
-    report = classify(pushed, 1)
-    records: list[Record] = [("fiber_chi", args.fiber_chi)]
-    ctx = pushed.ctx
-    records.append(("virasoro_c", report.virasoro_c))
-    for name in pure_gauge_monomials(ctx, 1):
-        records.append((f"gauge.{name}", report.pure_gauge.get(name, Fraction(0))))
-    for name in mixed_monomials(ctx, 1):
-        records.append((f"mixed.{name}", report.mixed.get(name, Fraction(0))))
-    _, gauge_free = gauge_obstruction(report)
-    _, t_free = t_background_obstruction(report)
-    records += [("gauge_free", gauge_free), ("t_free", t_free)]
-    return records
+    return [("fiber_chi", args.fiber_chi)] + _report_records(pushed.ctx, classify(pushed, 1))
 
 
 def build_parser() -> argparse.ArgumentParser:

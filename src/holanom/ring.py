@@ -22,7 +22,6 @@ construction; every operation returns a new polynomial.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,10 +118,42 @@ class GeneratorSet:
 
 
 def homogeneous_monomials(ctx: GeneratorSet, degree: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of the given total degree, in a fixed canonical order."""
-    ranges = [range(degree // d + 1) for d in ctx.degrees]
-    found = [e for e in itertools.product(*ranges) if ctx.degree(e) == degree]
-    return sorted(found, reverse=True)
+    """All exponent tuples of the given total degree, in a fixed canonical order.
+
+    The order is descending lexicographic.  Tuples are built one generator
+    at a time, partition-style: the first exponent runs from degree // d
+    down to 0 and the rest is filled in recursively.  A branch is entered
+    only if the remaining generators can still make up the remaining
+    degree, so the cost is proportional to the number of tuples returned.
+    """
+    degrees = ctx.degrees
+    if degree < 0:
+        return []
+    # reachable[i][r]: some exponents for generators i.. have total degree r
+    reachable = [[r == 0 for r in range(degree + 1)]]
+    for d in reversed(degrees):
+        after = reachable[0]
+        here = after[:]
+        for r in range(d, degree + 1):
+            here[r] = after[r] or here[r - d]
+        reachable.insert(0, here)
+    found: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+
+    def extend(i: int, remaining: int):
+        if i == len(degrees):
+            found.append(tuple(prefix))
+            return
+        d, after = degrees[i], reachable[i + 1]
+        for e in range(remaining // d, -1, -1):
+            if after[remaining - e * d]:
+                prefix.append(e)
+                extend(i + 1, remaining - e * d)
+                prefix.pop()
+
+    if reachable[0][degree]:
+        extend(0, degree)
+    return found
 
 
 class GradedPoly:
@@ -194,6 +225,25 @@ class GradedPoly:
             self.ctx,
             {e: c for e, c in self._terms.items() if self.ctx.degree(e) == degree},
         )
+
+    def product_component(self, other: "GradedPoly", degree: int) -> "GradedPoly":
+        """The degree-``degree`` component of self * other, without the rest.
+
+        Equal to ``(self * other).component(degree)``: the terms of other
+        are bucketed by degree, and each term of self is paired only with
+        the bucket that completes the degree.
+        """
+        other = self._coerce(other)
+        ctx = self.ctx
+        by_degree: dict[int, list] = {}
+        for eb, cb in other._terms.items():
+            by_degree.setdefault(ctx.degree(eb), []).append((eb, cb))
+        out: dict[tuple[int, ...], Fraction] = {}
+        for ea, ca in self._terms.items():
+            for eb, cb in by_degree.get(degree - ctx.degree(ea), ()):
+                key = tuple(x + y for x, y in zip(ea, eb))
+                out[key] = out.get(key, Fraction(0)) + ca * cb
+        return GradedPoly(ctx, out)
 
     def max_degree(self) -> int:
         """Largest degree carrying a non-zero term; -1 for the zero polynomial."""

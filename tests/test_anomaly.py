@@ -14,10 +14,9 @@ from holanom.anomaly import (
     context_for_theory,
     gauge_obstruction,
     holomorphic_ac,
-    mixed_monomials,
+    monomial_buckets,
     multiplet_table,
     physical_ac,
-    pure_gauge_monomials,
     r_symmetry_polynomial,
     render_local_cocycle,
     solve_r,
@@ -177,8 +176,11 @@ def test_classify_partition_reconstruction():
 
 def test_monomial_inventories_dimension_two():
     ctx = twist_context(2, True, True)
-    assert pure_gauge_monomials(ctx, 2) == ["s2*f1", "s3", "f1^3"]
-    assert mixed_monomials(ctx, 2) == ["g1^2*f1", "g1*s2", "g1*f1^2", "g2*f1"]
+    assert monomial_buckets(ctx, 2) == {
+        "gravitational": ["g1^3", "g1*g2"],
+        "pure_gauge": ["s2*f1", "s3", "f1^3"],
+        "mixed": ["g1^2*f1", "g1*s2", "g1*f1^2", "g2*f1"],
+    }
 
 
 # ---------------------------------------------------------------------------

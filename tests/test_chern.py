@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from holanom.chern import (
+    MAX_DIMENSION,
     Atom,
     COTANGENT,
     FieldContent,
@@ -235,6 +236,22 @@ def test_todd_dimension_two_top_degree():
     g1, g2 = gen(CTX2, "g1"), gen(CTX2, "g2")
     assert todd(2, CTX2).component(6) == -F(1, 24) * g1 * g2 + F(1, 48) * g1**3
     assert todd(2, CTX2).coefficient({"g1": 1, "g2": 1}) == F(-1, 24)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_todd_cache_matches_uncached(n):
+    for simple in (False, True):
+        for abelian in (False, True):
+            ctx = twist_context(n, simple, abelian)
+            assert todd(n, ctx) == todd.__wrapped__(n, ctx)
+            assert todd(n, ctx) is todd(n, ctx)
+    assert todd.cache_info().maxsize == 4 * MAX_DIMENSION
+
+
+def test_dimension_ceiling():
+    assert gravitational_context(MAX_DIMENSION).names[-1] == f"g{MAX_DIMENSION}"
+    with pytest.raises(ValueError, match="exceeds the supported maximum"):
+        twist_context(MAX_DIMENSION + 1, simple=True, abelian=True)
 
 
 def test_todd_dimension_two_degree_four():

@@ -3,12 +3,23 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
+from holanom import chern
+from holanom.chern import MAX_DIMENSION, gravitational_context
 from holanom.cli import run
 from holanom.ring import parse_rational
+
+from oracles import (
+    canonical_power_top_by_roots,
+    evaluate_monomial_name,
+    naive_homogeneous_monomials,
+    random_rational,
+)
 
 SQCD_TEXT = """\
 dimension 2
@@ -200,3 +211,56 @@ def test_compute_dimension_one_report(tmp_path, capsys):
     assert records["gauge.f1^2"] == "-1/2"
     assert records["gauge_free"] == "false"
     assert records["t_free"] == "false"
+
+
+@pytest.mark.parametrize("n,parity,copies", [(3, "even", 1), (4, "odd", 2), (5, "even", 3)])
+def test_compute_grav_keys_match_chern_root_oracle(tmp_path, capsys, n, parity, copies):
+    rng = random.Random(n)
+    lam = random_rational(rng, 7, 6)
+    path = tmp_path / "raw.th"
+    path.write_text(
+        f"dimension {n}\nmultiplet raw parity {parity} k {lam} rep trivial 1 copies {copies}\n"
+    )
+    assert run(["compute", str(path)]) == 0
+    pairs = [line.split(" = ") for line in capsys.readouterr().out.splitlines()]
+    ctx = gravitational_context(n)
+    canonical = [ctx.monomial_name(e) for e in naive_homogeneous_monomials(ctx.degrees, 2 * n + 2)]
+    assert [key for key, _ in pairs] == [f"grav.{name}" for name in canonical] + [
+        "gauge_free",
+        "t_free",
+    ]
+    grav = {key[len("grav."):]: parse_rational(value) for key, value in pairs[:-2]}
+    weight = copies * (-1 if parity == "odd" else 1)
+    for _ in range(8):
+        roots = [random_rational(rng, 5, 3) for _ in range(n)]
+        values = {f"g{k}": sum(x**k for x in roots) / factorial(k) for k in range(1, n + 1)}
+        reported = sum(c * evaluate_monomial_name(name, values) for name, c in grav.items())
+        assert reported == weight * canonical_power_top_by_roots(roots, lam, n + 1)
+
+
+def test_compute_grav_keys_lead_text_and_json(tmp_path, capsys):
+    path = tmp_path / "gauged.th"
+    path.write_text("dimension 3\ngauge su 2\nmultiplet raw parity even k 1/2 rep fundamental\n")
+    assert run(["compute", str(path)]) == 0
+    keys = [line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()]
+    assert keys[:3] == ["grav.g1^4", "grav.g1^2*g2", "grav.g1*g3"]
+    prefixes = [key.split(".")[0] for key in keys[:-2]]
+    assert prefixes == sorted(prefixes, key=["grav", "gauge", "mixed"].index)
+    assert set(prefixes) == {"grav", "gauge", "mixed"}
+    assert run(["compute", str(path), "--json"]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == keys
+
+
+@pytest.mark.parametrize("dimension", [MAX_DIMENSION + 1, 10**19])
+def test_compute_rejects_dimension_above_ceiling(tmp_path, capsys, monkeypatch, dimension):
+    def no_context(*args):
+        raise AssertionError("a generator set was built")
+
+    monkeypatch.setattr(chern, "GeneratorSet", no_context)
+    path = tmp_path / "huge.th"
+    path.write_text(f"dimension {dimension}\nmultiplet raw parity even k 1/3 rep trivial 1\n")
+    assert run(["compute", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"dimension {dimension} exceeds the supported maximum {MAX_DIMENSION}" in captured.err

@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+from holanom.chern import twist_context
 from holanom.ring import (
     GeneratorMismatch,
     GeneratorSet,
@@ -21,6 +22,7 @@ from holanom.ring import (
 from oracles import (
     from_graded,
     naive_exp,
+    naive_homogeneous_monomials,
     naive_log,
     naive_mul,
     random_graded_poly,
@@ -61,6 +63,17 @@ def test_monomial_name_round_trip():
 
 def test_homogeneous_monomials_degree_six():
     assert homogeneous_monomials(CTX2, 6) == [(3, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_homogeneous_monomials_match_brute_force(n):
+    for simple in (False, True):
+        for abelian in (False, True):
+            ctx = twist_context(n, simple, abelian)
+            for degree in range(ctx.cap + 1):
+                assert homogeneous_monomials(ctx, degree) == naive_homogeneous_monomials(
+                    ctx.degrees, degree
+                ), (ctx.names, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +127,16 @@ def test_mul_against_oracle():
         b = random_graded_poly(rng, CTX2)
         expected = naive_mul(from_graded(a), from_graded(b), CTX2.degrees, CTX2.cap)
         assert from_graded(a * b) == expected
+
+
+def test_product_component_matches_full_product():
+    rng = random.Random(11)
+    for ctx in (CTX2, twist_context(3, simple=True, abelian=True)):
+        for _ in range(150):
+            a = random_graded_poly(rng, ctx, max_terms=6)
+            b = random_graded_poly(rng, ctx, max_terms=6)
+            for degree in range(0, ctx.cap + 3, 2):
+                assert a.product_component(b, degree) == (a * b).component(degree)
 
 
 # ---------------------------------------------------------------------------
