@@ -25,7 +25,6 @@ from .chern import (
     ch_geom,
     ch_rep,
     c_from_ch,
-    ch_from_c,
     fundamental,
     gravitational_context,
     pushforward_curve,
@@ -33,7 +32,6 @@ from .chern import (
     trivial,
     twist_context,
     untwisted_context,
-    wedge_total,
 )
 from .theory import (
     Chiral,

@@ -19,7 +19,6 @@ c = 24 times its coefficient in the standard Virasoro normalization.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
@@ -28,7 +27,6 @@ from . import univariate
 from .chern import (
     FieldContent,
     GAUGE_GENERATOR_DEGREES,
-    GaugeGroup,
     ch_content,
     gravitational_context,
     todd,
@@ -46,13 +44,11 @@ from .ring import (
     homogeneous_monomials,
 )
 from .theory import (
-    Chiral,
-    Hyper,
-    N2Vector,
-    N4Vector,
+    MULTIPLETS,
     Theory,
-    Vector,
     interpolate_in_r,
+    multiplet_atoms,
+    multiplet_uses,
     twist_content,
 )
 
@@ -233,17 +229,11 @@ def gauge_obstruction(report: AnomalyReport) -> tuple[dict[str, Fraction], bool]
 def t_background_obstruction(report: AnomalyReport) -> tuple[dict[str, Fraction], bool]:
     """Mixed bucket and whether it vanishes (holomorphic vector fields can back-react).
 
-    Only meaningful once the pure-gauge obstruction is clear; a non-zero
-    gauge bucket is reported as a warning, not an error.  The purely
-    gravitational part is deliberately not included here: it is the
-    residual central charge, not an obstruction.
+    Only meaningful once the pure-gauge obstruction is clear, which
+    gauge_obstruction reports.  The purely gravitational part is
+    deliberately not included here: it is the residual central charge,
+    not an obstruction.
     """
-    if report.pure_gauge:
-        warnings.warn(
-            "pure-gauge anomaly is non-zero; the mixed obstruction is only "
-            "meaningful once it vanishes",
-            stacklevel=2,
-        )
     return dict(report.mixed), not report.mixed
 
 
@@ -351,26 +341,23 @@ def render_local_cocycle(a_hol: RationalLike, c_hol: RationalLike) -> str:
 # reference table of basic multiplets
 
 
-def multiplet_table() -> list[tuple[str, Fraction, Fraction, Fraction, Fraction]]:
-    """(label, a, c, a_hol, c_hol) per unit multiplet, from the full pipeline.
+# reference-table label of each multiplet keyword that differs from it
+_TABLE_LABELS = {"vector": "n1-vector", "chiral": "n1-chiral", "hyper": "n2-hyper"}
 
-    Rows are normalized per unit of gauge-group dimension (vectors) or
-    representation dimension (matter), so they apply to any group by
-    scaling.
+
+def multiplet_table() -> list[tuple[str, Fraction, Fraction, Fraction, Fraction]]:
+    """(label, a, c, a_hol, c_hol) per unit multiplet, from its twisted atoms.
+
+    Rows are per unit of gauge-group dimension (vectors) or representation
+    dimension (matter): every atom sits on the trivial line, which scales
+    the gravitational anomaly by 1/dim.  The chiral sits at r = -1/3.
     """
-    su2 = GaugeGroup(su=2)
-    rows = [
-        ("n1-vector", Theory(gauge=su2, multiplets=(Vector(),)), 3),
-        ("n1-chiral", Theory(multiplets=(Chiral(Fraction(-1, 3), trivial(1)),)), 1),
-        ("n2-vector", Theory(gauge=su2, multiplets=(N2Vector(),)), 3),
-        ("n2-hyper", Theory(multiplets=(Hyper(trivial(1)),)), 1),
-        ("n4-vector", Theory(gauge=su2, multiplets=(N4Vector(),)), 3),
-    ]
+    unit = {"r": Fraction(-1, 3), "rep": trivial(1)}
     table = []
-    for label, theory, dim in rows:
-        report = classify(anomaly_polynomial(twist_content(theory), context_for_theory(theory)), 2)
-        a_hol = report.a_hol / dim
-        c_hol = report.c_hol / dim
-        a, c = physical_ac(a_hol, c_hol)
-        table.append((label, a, c, a_hol, c_hol))
+    for keyword, (cls, _) in MULTIPLETS.items():
+        m = cls(**{name: v for name, v in unit.items() if multiplet_uses(keyword, name)})
+        content = FieldContent(2, tuple(multiplet_atoms(m, trivial(1))))
+        report = classify(anomaly_polynomial(content), 2)
+        a, c = physical_ac(report.a_hol, report.c_hol)
+        table.append((_TABLE_LABELS.get(keyword, keyword), a, c, report.a_hol, report.c_hol))
     return table

@@ -23,8 +23,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
-from typing import Sequence, Union
+from math import factorial
+from typing import Union
 
 from .ring import (
     GeneratorMismatch,
@@ -79,11 +79,6 @@ def twist_context(n: int, simple: bool = False, abelian: bool = False) -> Genera
 def untwisted_context() -> GeneratorSet:
     """Background R-symmetry class tc1 and the Pontryagin class p1, capped at 6."""
     return GeneratorSet(("tc1", "p1"), (2, 4), 6)
-
-
-def gravitational_rank(ctx: GeneratorSet) -> int:
-    """Number of g-generators carried by a context."""
-    return sum(1 for name in ctx.names if _GRAV_NAME.fullmatch(name))
 
 
 # ---------------------------------------------------------------------------
@@ -252,58 +247,34 @@ class FieldContent:
 # Newton identities between Chern classes and Chern characters
 
 
-def c_from_ch(n: int, ctx: GeneratorSet) -> list[GradedPoly]:
-    """Chern classes c_1..c_n of the rank-n bundle with ch_k = g_k.
+def _newton(n: int, ctx: GeneratorSet, kmax: int) -> tuple[list[GradedPoly], list[GradedPoly]]:
+    """Chern classes c_1..c_n and power sums p_1..p_kmax of the rank-n bundle with ch_k = g_k.
 
     Newton's identity p_k = c1*p_{k-1} - c2*p_{k-2} + ... + (-1)^(k-1)*k*c_k
-    with power sums p_k = k! * g_k, solved triangularly for the c's.
+    (c_j = 0 for j > n) gives c_k for k <= n, where p_k = k! * g_k, and p_k beyond.
     """
-    p = [None] + [factorial(k) * GradedPoly.generator(ctx, f"g{k}") for k in range(1, n + 1)]
     cs: list[GradedPoly] = []
-    for k in range(1, n + 1):
-        acc = p[k]
-        for i in range(1, k):
-            acc = acc - Fraction((-1) ** (i - 1)) * cs[i - 1] * p[k - i]
-        cs.append(acc * Fraction((-1) ** (k - 1), k))
-    return cs
-
-
-def ch_from_c(cs: Sequence[GradedPoly], kmax: Union[int, None] = None) -> list[GradedPoly]:
-    """Chern characters ch_1..ch_kmax of a bundle with the given Chern classes.
-
-    The rank is len(cs); c_j = 0 for j beyond it.  Inverse of c_from_ch on
-    the generators.
-    """
-    if not cs:
-        raise ValueError("need at least one Chern class")
-    ctx = cs[0].ctx
-    n = len(cs)
-    if kmax is None:
-        kmax = ctx.cap // 2
-    p: list[GradedPoly] = [GradedPoly.zero(ctx)] * (kmax + 1)
-    for k in range(1, kmax + 1):
+    p: list[GradedPoly] = [GradedPoly.zero(ctx)]
+    for k in range(1, max(n, kmax) + 1):
         acc = GradedPoly.zero(ctx)
         for i in range(1, min(k - 1, n) + 1):
             acc = acc + Fraction((-1) ** (i - 1)) * cs[i - 1] * p[k - i]
         if k <= n:
-            acc = acc + Fraction((-1) ** (k - 1) * k) * cs[k - 1]
-        p[k] = acc
-    return [p[k] * Fraction(1, factorial(k)) for k in range(1, kmax + 1)]
+            p.append(factorial(k) * GradedPoly.generator(ctx, f"g{k}"))
+            cs.append((p[k] - acc) * Fraction((-1) ** (k - 1), k))
+        else:
+            p.append(acc)
+    return cs, p[1 : kmax + 1]
+
+
+def c_from_ch(n: int, ctx: GeneratorSet) -> list[GradedPoly]:
+    """Chern classes c_1..c_n of the rank-n bundle with ch_k = g_k."""
+    return _newton(n, ctx, n)[0]
 
 
 def tangent_power_sums(n: int, ctx: GeneratorSet, kmax: int) -> list[GradedPoly]:
     """Power sums p_1..p_kmax of the rank-n tangent bundle (p_k = k! ch_k)."""
-    cs = c_from_ch(n, ctx)
-    p: list[GradedPoly] = [GradedPoly.zero(ctx)] * (kmax + 1)
-    for k in range(1, kmax + 1):
-        if k <= n:
-            p[k] = factorial(k) * GradedPoly.generator(ctx, f"g{k}")
-            continue
-        acc = GradedPoly.zero(ctx)
-        for i in range(1, n + 1):
-            acc = acc + Fraction((-1) ** (i - 1)) * cs[i - 1] * p[k - i]
-        p[k] = acc
-    return p[1:]
+    return _newton(n, ctx, kmax)[1]
 
 
 def tangent_ch(n: int, ctx: GeneratorSet, kmax: int) -> list[GradedPoly]:
@@ -407,28 +378,6 @@ def todd(n: int, ctx: GeneratorSet) -> GradedPoly:
     for a_k, p_k in zip(coefficients, power_sums):
         exponent = exponent + a_k * p_k
     return exponent.exp()
-
-
-# ---------------------------------------------------------------------------
-# exterior algebra of line bundles
-
-
-def wedge_total(
-    power: RationalLike, m: int, rep: GaugeRep, base_parity: str, n: int = 2
-) -> FieldContent:
-    """Alternating total exterior algebra of m copies of K^power tensored with rep.
-
-    Piece j carries binom(m, j) copies of K^(j*power) with parity flipped
-    j times relative to base_parity.
-    """
-    if m < 1:
-        raise ValueError("need at least one line bundle copy")
-    power = Fraction(power)
-    pieces = []
-    for j in range(m + 1):
-        parity = base_parity if j % 2 == 0 else ("odd" if base_parity == "even" else "even")
-        pieces.append((comb(m, j), Atom(Kpow(j * power), rep, parity)))
-    return FieldContent(n, pieces)
 
 
 # ---------------------------------------------------------------------------

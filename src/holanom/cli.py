@@ -30,7 +30,7 @@ from .anomaly import (
     t_background_obstruction,
 )
 from .chern import pushforward_curve
-from .duality import SQCDSpec, electric_anomalies, electric_theory, quark_charge, seiberg_match
+from .duality import SQCDSpec, electric_report, quark_charge, seiberg_match
 from .ring import GeneratorSet, format_rational, parse_rational
 from .theory import ConfigurationError, ConsistencyError, Theory, twist_content
 from .theoryfile import TheoryParseError, parse_theory_file
@@ -127,20 +127,16 @@ def _cmd_table(args) -> list[Record]:
 
 def _cmd_qcd(args) -> list[Record]:
     spec = SQCDSpec(args.colors, args.flavors)
-    theory = electric_theory(spec)
-    a_hol, c_hol = electric_anomalies(spec)
-    report = classify(
-        anomaly_polynomial(twist_content(theory), context_for_theory(theory)), 2
-    )
-    a, c = physical_ac(a_hol, c_hol)
+    report = electric_report(spec)
+    a, c = physical_ac(report.a_hol, report.c_hol)
     _, gauge_free = gauge_obstruction(report)
     _, t_free = t_background_obstruction(report)
     return [
         ("colors", args.colors),
         ("flavors", args.flavors),
         ("r", quark_charge(spec)),
-        ("a_hol", a_hol),
-        ("c_hol", c_hol),
+        ("a_hol", report.a_hol),
+        ("c_hol", report.c_hol),
         ("a", a),
         ("c", c),
         ("gauge_free", gauge_free),

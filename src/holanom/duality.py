@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Union
 
 from . import univariate
-from .anomaly import anomaly_polynomial, classify, context_for_theory
+from .anomaly import AnomalyReport, anomaly_polynomial, classify, context_for_theory
 from .chern import GaugeGroup, antifundamental, fundamental, trivial
 from .theory import (
     Chiral,
@@ -62,26 +62,31 @@ def electric_theory(spec: SQCDSpec) -> Theory:
     )
 
 
-def _hol_pair(theory: Theory) -> tuple[Fraction, Fraction]:
-    report = classify(anomaly_polynomial(twist_content(theory), context_for_theory(theory)), 2)
-    return report.a_hol, report.c_hol
+def _report(theory: Theory) -> AnomalyReport:
+    return classify(anomaly_polynomial(twist_content(theory), context_for_theory(theory)), 2)
 
 
-def electric_anomalies(spec: SQCDSpec) -> tuple[Fraction, Fraction]:
-    """(a_hol, c_hol) of electric SQCD, cross-checked against the closed forms.
+def electric_report(spec: SQCDSpec) -> AnomalyReport:
+    """Anomaly report of electric SQCD, its (a_hol, c_hol) checked against the closed forms.
 
     a_hol = -(N_c^2 + 1)/24 independently of N_f;
     c_hol = (2 N_c^4 - N_c^2 N_f^2 + N_f^2) / (48 N_f^2).
     """
-    a_hol, c_hol = _hol_pair(electric_theory(spec))
+    report = _report(electric_theory(spec))
     nc, nf = spec.colors, spec.flavors
     expected_a = Fraction(-(nc**2 + 1), 24)
     expected_c = Fraction(2 * nc**4 - nc**2 * nf**2 + nf**2, 48 * nf**2)
-    if (a_hol, c_hol) != (expected_a, expected_c):
+    if (report.a_hol, report.c_hol) != (expected_a, expected_c):
         raise ConsistencyError(
-            f"computed ({a_hol}, {c_hol}) != closed form ({expected_a}, {expected_c})"
+            f"computed ({report.a_hol}, {report.c_hol}) != closed form ({expected_a}, {expected_c})"
         )
-    return a_hol, c_hol
+    return report
+
+
+def electric_anomalies(spec: SQCDSpec) -> tuple[Fraction, Fraction]:
+    """(a_hol, c_hol) of electric SQCD, cross-checked against the closed forms."""
+    report = electric_report(spec)
+    return report.a_hol, report.c_hol
 
 
 def magnetic_theory(spec: SQCDSpec, r_meson: RationalLike, meson_unknown: bool = False) -> Theory:
@@ -111,7 +116,8 @@ def magnetic_theory(spec: SQCDSpec, r_meson: RationalLike, meson_unknown: bool =
 
 
 def magnetic_anomalies(spec: SQCDSpec, r_meson: RationalLike) -> tuple[Fraction, Fraction]:
-    return _hol_pair(magnetic_theory(spec, r_meson))
+    report = _report(magnetic_theory(spec, r_meson))
+    return report.a_hol, report.c_hol
 
 
 @dataclass(frozen=True)
@@ -134,7 +140,7 @@ def seiberg_match(spec: SQCDSpec) -> MatchResult:
     template = magnetic_theory(spec, 0, meson_unknown=True)
 
     def a_hol_of(theory: Theory) -> Fraction:
-        return _hol_pair(theory)[0]
+        return _report(theory).a_hol
 
     a_coeffs = interpolate_in_r(template, a_hol_of)
     difference = univariate.add(a_coeffs, (-a_electric,))

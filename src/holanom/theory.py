@@ -5,6 +5,8 @@ compiles it to the FieldContent whose Chern character drives every anomaly
 computation: a chiral multiplet of R-charge r becomes an even K^((r+1)/2)
 atom, a vector multiplet the parity-odd adjoint, and the extended-
 supersymmetry multiplets their standard decompositions into those two.
+The table MULTIPLETS holds this map once; validation, theory-file parsing
+and rendering, and the reference table of multiplets all read it.
 
 Anomaly coefficients of a theory with one undetermined R-charge are exact
 polynomials of degree at most 3 in it (the charge enters only through
@@ -18,16 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Union
 
-from .chern import (
-    Atom,
-    FieldContent,
-    GaugeGroup,
-    GaugeRep,
-    Kpow,
-    TRIVIAL,
-    adjoint,
-    wedge_total,
-)
+from .chern import Atom, FieldContent, GaugeGroup, GaugeRep, Kpow, adjoint
 from .ring import Rational, RationalLike
 from .univariate import Coeffs, evaluate, lagrange_interpolate
 
@@ -91,8 +84,32 @@ class Raw:
 
 Multiplet = Union[Chiral, Vector, N2Vector, Hyper, N4Vector, Raw]
 
-_VECTOR_KINDS = (Vector, N2Vector, N4Vector)
-_BUILTIN_KINDS = (Chiral, Vector, N2Vector, Hyper, N4Vector)
+
+# Per theory-file keyword, in reference-table order: the multiplet class and
+# its atoms (multiplicity, canonical-bundle power, representation, parity).
+# The power "r" stands for the chiral's (r+1)/2; the representation "rep" is
+# the multiplet's own and "adj" the adjoint of the simple gauge group.
+MULTIPLETS = {
+    "vector": (Vector, ((1, 0, "adj", "odd"),)),
+    "chiral": (Chiral, ((1, "r", "rep", "even"),)),
+    "n2-vector": (N2Vector, ((1, 0, "adj", "odd"), (1, Fraction(1, 3), "adj", "even"))),
+    "hyper": (Hyper, ((1, Fraction(1, 3), "rep", "even"), (1, Fraction(2, 3), "rep", "odd"))),
+    "n4-vector": (N4Vector, ((1, 0, "adj", "odd"), (3, Fraction(1, 3), "adj", "even"))),
+}
+_KEYWORDS = {cls: keyword for keyword, (cls, _) in MULTIPLETS.items()}
+
+
+def multiplet_uses(keyword: str, token: str) -> bool:
+    """Whether a built-in multiplet's atoms use "r" (it takes an R-charge), "rep"
+    (a representation and copies) or "adj" (it needs a simple gauge group)."""
+    return any(token in atom for atom in MULTIPLETS[keyword][1])
+
+
+def multiplet_keyword(m: Multiplet) -> str:
+    """Theory-file keyword of a built-in multiplet."""
+    if type(m) not in _KEYWORDS:
+        raise ConfigurationError(f"unknown multiplet kind {type(m).__name__}")
+    return _KEYWORDS[type(m)]
 
 
 @dataclass(frozen=True)
@@ -112,16 +129,16 @@ class Theory:
     def __post_init__(self):
         object.__setattr__(self, "multiplets", tuple(self.multiplets))
         for m in self.multiplets:
-            if isinstance(m, _BUILTIN_KINDS) and self.dimension != 2:
+            if isinstance(m, Raw):
+                if m.content.dimension != self.dimension:
+                    raise ConfigurationError("raw content dimension does not match the theory")
+                continue
+            if self.dimension != 2:
                 raise ConfigurationError(
                     f"built-in multiplet {type(m).__name__} requires dimension 2"
                 )
-            if isinstance(m, _VECTOR_KINDS) and self.gauge.su is None:
-                raise ConfigurationError(
-                    f"{type(m).__name__} requires a simple gauge group"
-                )
-            if isinstance(m, Raw) and m.content.dimension != self.dimension:
-                raise ConfigurationError("raw content dimension does not match the theory")
+            if multiplet_uses(multiplet_keyword(m), "adj") and self.gauge.su is None:
+                raise ConfigurationError(f"{type(m).__name__} requires a simple gauge group")
             rep = getattr(m, "rep", None)
             if rep is not None:
                 if (rep.t2 != 0 or rep.t3 != 0) and self.gauge.su is None:
@@ -139,6 +156,16 @@ def chiral_twist_power(r: RationalLike) -> Fraction:
     return (Fraction(r) + 1) / 2
 
 
+def multiplet_atoms(m: Multiplet, adj: Union[GaugeRep, None]) -> list[tuple[int, Atom]]:
+    """(multiplicity, atom) pieces of a built-in multiplet, copies included; adj fills "adj"."""
+    copies = getattr(m, "copies", 1)
+    pieces = []
+    for multiplicity, power, rep, parity in MULTIPLETS[multiplet_keyword(m)][1]:
+        geom = Kpow(chiral_twist_power(m.r) if power == "r" else power)
+        pieces.append((copies * multiplicity, Atom(geom, m.rep if rep == "rep" else adj, parity)))
+    return pieces
+
+
 def twist_content(theory: Theory) -> FieldContent:
     """Compile a theory to the twisted field content.
 
@@ -146,29 +173,11 @@ def twist_content(theory: Theory) -> FieldContent:
     sector is accounted for by the index-style anomaly formula itself, and
     this convention reproduces all the standard multiplet coefficients.
     """
-    n = theory.dimension
+    adj = None if theory.gauge.su is None else adjoint(theory.gauge.su)
     pieces: list[tuple[int, Atom]] = []
     for m in theory.multiplets:
-        if isinstance(m, Chiral):
-            pieces.append((m.copies, Atom(Kpow(chiral_twist_power(m.r)), m.rep, "even")))
-        elif isinstance(m, Vector):
-            pieces.append((1, Atom(TRIVIAL, adjoint(theory.gauge.su), "odd")))
-        elif isinstance(m, N2Vector):
-            pieces.extend(
-                wedge_total(Fraction(1, 3), 1, adjoint(theory.gauge.su), "odd", n).pieces
-            )
-        elif isinstance(m, Hyper):
-            pieces.append((m.copies, Atom(Kpow(Fraction(1, 3)), m.rep, "even")))
-            pieces.append((m.copies, Atom(Kpow(Fraction(2, 3)), m.rep, "odd")))
-        elif isinstance(m, N4Vector):
-            adj = adjoint(theory.gauge.su)
-            pieces.append((1, Atom(TRIVIAL, adj, "odd")))
-            pieces.append((3, Atom(Kpow(Fraction(1, 3)), adj, "even")))
-        elif isinstance(m, Raw):
-            pieces.extend(m.content.pieces)
-        else:
-            raise ConfigurationError(f"unknown multiplet kind {type(m).__name__}")
-    return FieldContent(n, tuple(pieces))
+        pieces.extend(m.content.pieces if isinstance(m, Raw) else multiplet_atoms(m, adj))
+    return FieldContent(theory.dimension, tuple(pieces))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .chern import (
     fundamental,
     trivial,
 )
-from .theory import Chiral, Hyper, Multiplet, N2Vector, N4Vector, Raw, Theory, Vector
+from .theory import MULTIPLETS, Chiral, Multiplet, Raw, Theory, multiplet_keyword, multiplet_uses
 from .ring import parse_rational, format_rational
 
 
@@ -101,17 +101,19 @@ def _declaration_lines(text: str):
             yield line_no, body.split()
 
 
+# representations of the simple gauge group spelled by name, in rendering preference
+_NAMED_REPS = {"fundamental": fundamental, "antifundamental": antifundamental, "adjoint": adjoint}
+
+
 def _parse_rep(cursor: _Tokens, gauge: GaugeGroup) -> GaugeRep:
     cursor.expect("rep")
     kind = cursor.take("representation name")
-    if kind in ("fundamental", "antifundamental", "adjoint"):
+    if kind in _NAMED_REPS:
         if gauge.su is None:
             raise TheoryParseError(
                 cursor.line_no, f"{kind} representation requires 'gauge su <N>'"
             )
-        rep = {"fundamental": fundamental, "antifundamental": antifundamental, "adjoint": adjoint}[
-            kind
-        ](gauge.su)
+        rep = _NAMED_REPS[kind](gauge.su)
     elif kind == "trivial":
         dim = cursor.integer("trivial representation dimension")
         if dim < 1:
@@ -142,23 +144,20 @@ def _parse_copies(cursor: _Tokens) -> int:
 
 def _parse_multiplet(cursor: _Tokens, gauge: GaugeGroup, dimension: int) -> Multiplet:
     kind = cursor.take("multiplet kind")
-    if kind in ("vector", "n2-vector", "n4-vector"):
-        if gauge.su is None:
+    if kind in MULTIPLETS:
+        if multiplet_uses(kind, "adj") and gauge.su is None:
             raise TheoryParseError(cursor.line_no, f"{kind} multiplet requires 'gauge su <N>'")
+        fields = {}
+        if multiplet_uses(kind, "r"):
+            cursor.expect("r")
+            fields["r"] = cursor.rational("R-charge")
+        if multiplet_uses(kind, "rep"):
+            fields["rep"] = _parse_rep(cursor, gauge)
+            fields["copies"] = _parse_copies(cursor)
         cursor.done()
-        return {"vector": Vector, "n2-vector": N2Vector, "n4-vector": N4Vector}[kind]()
-    if kind == "chiral":
-        cursor.expect("r")
-        r = cursor.rational("R-charge")
-        rep = _parse_rep(cursor, gauge)
-        copies = _parse_copies(cursor)
-        cursor.done()
-        return Chiral(r, rep, copies)
-    if kind == "hyper":
-        rep = _parse_rep(cursor, gauge)
-        copies = _parse_copies(cursor)
-        cursor.done()
-        return Hyper(rep, copies)
+        if dimension != 2:
+            raise TheoryParseError(cursor.line_no, "built-in multiplets require dimension 2")
+        return MULTIPLETS[kind][0](**fields)
     if kind == "raw":
         cursor.expect("parity")
         parity = cursor.take("parity")
@@ -226,13 +225,7 @@ def parse_theory_file(text: str) -> Theory:
     dimension = 2 if dimension is None else dimension
     gauge = GaugeGroup(su=gauge_su, abelian=abelian)
 
-    multiplets: list[Multiplet] = []
-    for line_no, tokens in multiplet_lines:
-        cursor = _Tokens(line_no, tokens)
-        multiplet = _parse_multiplet(cursor, gauge, dimension)
-        if not isinstance(multiplet, Raw) and dimension != 2:
-            raise TheoryParseError(line_no, "built-in multiplets require dimension 2")
-        multiplets.append(multiplet)
+    multiplets = [_parse_multiplet(_Tokens(n, t), gauge, dimension) for n, t in multiplet_lines]
 
     for line_no, index in unknown_marks:
         if not 1 <= index <= len(multiplets):
@@ -254,11 +247,7 @@ def parse_theory_file(text: str) -> Theory:
 def _render_rep(rep: GaugeRep, gauge: GaugeGroup) -> str:
     base = None
     if gauge.su is not None:
-        for name, builder in (
-            ("fundamental", fundamental),
-            ("antifundamental", antifundamental),
-            ("adjoint", adjoint),
-        ):
+        for name, builder in _NAMED_REPS.items():
             reference = builder(gauge.su)
             if (rep.dim, rep.t2, rep.t3) == (reference.dim, reference.t2, reference.t3):
                 base = name
@@ -282,35 +271,10 @@ def render_theory(theory: Theory) -> str:
     unknown: list[int] = []
     rendered = 0  # unknown-r indices count rendered multiplet lines
     for m in theory.multiplets:
-        if isinstance(m, Chiral):
-            line = f"multiplet chiral r {format_rational(m.r)} rep {_render_rep(m.rep, theory.gauge)}"
-            if m.copies > 1:
-                line += f" copies {m.copies}"
-            lines.append(line)
-            rendered += 1
-            if m.unknown_r:
-                unknown.append(rendered)
-        elif isinstance(m, Vector):
-            lines.append("multiplet vector")
-            rendered += 1
-        elif isinstance(m, N2Vector):
-            lines.append("multiplet n2-vector")
-            rendered += 1
-        elif isinstance(m, N4Vector):
-            lines.append("multiplet n4-vector")
-            rendered += 1
-        elif isinstance(m, Hyper):
-            line = f"multiplet hyper rep {_render_rep(m.rep, theory.gauge)}"
-            if m.copies > 1:
-                line += f" copies {m.copies}"
-            lines.append(line)
-            rendered += 1
-        elif isinstance(m, Raw):
-            for multiplicity, atom in m.content.pieces:
-                parity, copies = atom.parity, multiplicity
+        if isinstance(m, Raw):
+            for copies, atom in m.content.pieces:
                 if copies < 0:
-                    parity = "odd" if parity == "even" else "even"
-                    copies = -copies
+                    atom, copies = atom.flipped(), -copies
                 if isinstance(atom.geom, Kpow):
                     power = atom.geom.power
                 elif atom.geom == TRIVIAL:
@@ -318,15 +282,26 @@ def render_theory(theory: Theory) -> str:
                 else:
                     raise ValueError("tangent-type raw content has no theory-file spelling")
                 line = (
-                    f"multiplet raw parity {parity} k {format_rational(power)}"
+                    f"multiplet raw parity {atom.parity} k {format_rational(power)}"
                     f" rep {_render_rep(atom.rep, theory.gauge)}"
                 )
                 if copies > 1:
                     line += f" copies {copies}"
                 lines.append(line)
                 rendered += 1
-        else:
-            raise ValueError(f"unknown multiplet kind {type(m).__name__}")
+            continue
+        keyword = multiplet_keyword(m)
+        line = f"multiplet {keyword}"
+        if multiplet_uses(keyword, "r"):
+            line += f" r {format_rational(m.r)}"
+        if multiplet_uses(keyword, "rep"):
+            line += f" rep {_render_rep(m.rep, theory.gauge)}"
+            if m.copies > 1:
+                line += f" copies {m.copies}"
+        lines.append(line)
+        rendered += 1
+        if getattr(m, "unknown_r", False):
+            unknown.append(rendered)
     for position in unknown:
         lines.append(f"unknown-r {position}")
     return "\n".join(lines) + "\n"

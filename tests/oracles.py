@@ -3,15 +3,21 @@
 These re-implement truncated polynomial arithmetic in the most naive way
 possible (dense dicts keyed by exponent tuples, no code shared with the
 package) so that expected values are pinned by something that cannot share
-a bug with the implementation under test.
+a bug with the implementation under test.  The few helpers that build
+package objects (ch_from_c, wedge_total) do so the long way, by formulas
+the package itself no longer uses.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from operator import mul
+from typing import Sequence
+
+from holanom.chern import Atom, FieldContent, GaugeRep, Kpow
+from holanom.ring import GradedPoly
 
 # A naive polynomial is dict[exponent tuple, Fraction]; degrees is the
 # per-generator degree tuple and cap the truncation bound.
@@ -164,6 +170,50 @@ def evaluate_monomial_name(name, values):
 
 
 # ---------------------------------------------------------------------------
+# package objects built the long way: Chern characters from Chern classes,
+# and alternating exterior algebras of line bundles
+
+
+def ch_from_c(cs: Sequence[GradedPoly], kmax: int | None = None) -> list[GradedPoly]:
+    """Chern characters ch_1..ch_kmax of a bundle with the given Chern classes.
+
+    The rank is len(cs); c_j = 0 for j beyond it.  Inverse of c_from_ch on
+    the generators.
+    """
+    if not cs:
+        raise ValueError("need at least one Chern class")
+    ctx = cs[0].ctx
+    n = len(cs)
+    if kmax is None:
+        kmax = ctx.cap // 2
+    p: list[GradedPoly] = [GradedPoly.zero(ctx)] * (kmax + 1)
+    for k in range(1, kmax + 1):
+        acc = GradedPoly.zero(ctx)
+        for i in range(1, min(k - 1, n) + 1):
+            acc = acc + Fraction((-1) ** (i - 1)) * cs[i - 1] * p[k - i]
+        if k <= n:
+            acc = acc + Fraction((-1) ** (k - 1) * k) * cs[k - 1]
+        p[k] = acc
+    return [p[k] * Fraction(1, factorial(k)) for k in range(1, kmax + 1)]
+
+
+def wedge_total(power, m: int, rep: GaugeRep, base_parity: str, n: int = 2) -> FieldContent:
+    """Alternating total exterior algebra of m copies of K^power tensored with rep.
+
+    Piece j carries binom(m, j) copies of K^(j*power) with parity flipped
+    j times relative to base_parity.
+    """
+    if m < 1:
+        raise ValueError("need at least one line bundle copy")
+    power = Fraction(power)
+    pieces = []
+    for j in range(m + 1):
+        parity = base_parity if j % 2 == 0 else ("odd" if base_parity == "even" else "even")
+        pieces.append((comb(m, j), Atom(Kpow(j * power), rep, parity)))
+    return FieldContent(n, pieces)
+
+
+# ---------------------------------------------------------------------------
 # random generators
 
 
@@ -174,8 +224,6 @@ def random_rational(rng, max_num=9, max_den=5):
 
 
 def random_graded_poly(rng, ctx, max_terms=4, max_num=6, max_den=4):
-    from holanom.ring import GradedPoly
-
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         exps = []

@@ -9,8 +9,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 
-import pytest
-
 from holanom.anomaly import (
     anomaly_polynomial,
     classify,
@@ -176,7 +174,6 @@ def test_criterion_8_r_symmetry_pipeline():
     _passed(8, "untwisted R-symmetry pipeline agrees with the direct conversion")
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")  # gauge bucket non-zero by design
 def test_criterion_9_mixed_dimension_one():
     content = FieldContent(
         1,

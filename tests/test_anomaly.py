@@ -355,13 +355,6 @@ def test_t_background_sqcd_at_zero_charge():
     assert bucket == {"g1*s2": F(-3)}
 
 
-def test_t_background_warns_when_gauge_anomalous():
-    theory = Theory(gauge=GaugeGroup(su=3), multiplets=(Chiral(F(0), fundamental(3)),))
-    report = _report(theory)
-    with pytest.warns(UserWarning):
-        t_background_obstruction(report)
-
-
 def test_equal_fundamental_pairs_are_gauge_free():
     # the cubic coefficients of fundamental and antifundamental cancel
     rng = random.Random(103)
@@ -384,8 +377,7 @@ def test_mixed_abelian_line_dimension_one():
     report = classify(anomaly_polynomial(content), 1)
     assert report.mixed == {"g1*f1": F(-1, 2)}
     assert report.gravitational == {}
-    with pytest.warns(UserWarning):  # the f1^2 gauge coefficient is non-zero here
-        _, free = t_background_obstruction(report)
+    _, free = t_background_obstruction(report)
     assert not free
 
 

@@ -21,7 +21,6 @@ from holanom.chern import (
     c_from_ch,
     ch_atom,
     ch_content,
-    ch_from_c,
     ch_geom,
     ch_rep,
     fundamental,
@@ -31,11 +30,10 @@ from holanom.chern import (
     todd_log_coefficients,
     trivial,
     twist_context,
-    wedge_total,
 )
 from holanom.ring import GeneratorMismatch, GradedPoly
 
-from oracles import ch_of_roots, elementary_symmetric, random_rational
+from oracles import ch_from_c, ch_of_roots, elementary_symmetric, random_rational, wedge_total
 
 CTX1 = gravitational_context(1)
 CTX2 = gravitational_context(2)

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -196,7 +200,6 @@ def test_exit_code_usage_error(capsys):
     assert run(["no-such-command"]) == 2
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")  # gauge bucket is non-zero by design
 def test_compute_dimension_one_report(tmp_path, capsys):
     path = tmp_path / "ghostless.th"
     path.write_text(
@@ -211,6 +214,23 @@ def test_compute_dimension_one_report(tmp_path, capsys):
     assert records["gauge.f1^2"] == "-1/2"
     assert records["gauge_free"] == "false"
     assert records["t_free"] == "false"
+
+
+def test_compute_gauge_anomalous_file_keeps_stderr_empty(tmp_path):
+    # a separate interpreter, so any Python warning would print to its stderr
+    path = tmp_path / "anomalous.th"
+    path.write_text("gauge su 3\nmultiplet chiral r 0 rep fundamental\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "holanom.cli", "compute", str(path)],
+        capture_output=True,
+        text=True,
+        env=os.environ | {"PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.returncode == 0
+    assert "gauge_free = false" in done.stdout
+    assert done.stderr == ""
 
 
 @pytest.mark.parametrize("n,parity,copies", [(3, "even", 1), (4, "odd", 2), (5, "even", 3)])

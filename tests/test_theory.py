@@ -11,6 +11,7 @@ from holanom.chern import (
     Atom,
     FieldContent,
     GaugeGroup,
+    GaugeRep,
     Kpow,
     TRIVIAL,
     adjoint,
@@ -19,6 +20,7 @@ from holanom.chern import (
     trivial,
 )
 from holanom.theory import (
+    MULTIPLETS,
     Chiral,
     ConfigurationError,
     ConsistencyError,
@@ -33,6 +35,7 @@ from holanom.theory import (
     twist_content,
     with_unknown_r,
 )
+from holanom.theoryfile import parse_theory_file, render_theory
 
 from oracles import random_rational
 
@@ -130,6 +133,50 @@ def test_twist_is_additive_over_multiplet_lists():
             Theory(gauge=su, multiplets=second)
         )
         assert merged == split
+
+
+# Per multiplet keyword: its class, one theory-file line, and the twisted
+# atoms of that line written out from the paper's decompositions (an N=2
+# vector is a vector plus an adjoint chiral at r = -1/3, an N=4 vector a
+# vector plus three, a hypermultiplet K^(1/3) (+) Pi K^(2/3)).
+HEADER = "dimension 2\ngauge su 3\nflavor-u1 on\n"
+ADJ_VECTOR = (1, Atom(TRIVIAL, adjoint(3), "odd"))
+KEYWORD_CASES = {
+    "vector": (Vector, "multiplet vector", [ADJ_VECTOR]),
+    "chiral": (
+        Chiral,
+        "multiplet chiral r 1/5 rep fundamental charge 1/2 copies 2",
+        [(2, Atom(Kpow(F(3, 5)), GaugeRep(3, F(1), F(1), F(1, 2)), "even"))],
+    ),
+    "n2-vector": (
+        N2Vector,
+        "multiplet n2-vector",
+        [ADJ_VECTOR, (1, Atom(Kpow(F(1, 3)), adjoint(3), "even"))],
+    ),
+    "hyper": (
+        Hyper,
+        "multiplet hyper rep trivial 2 charge -1 copies 3",
+        [
+            (3, Atom(Kpow(F(1, 3)), trivial(2, -1), "even")),
+            (3, Atom(Kpow(F(2, 3)), trivial(2, -1), "odd")),
+        ],
+    ),
+    "n4-vector": (
+        N4Vector,
+        "multiplet n4-vector",
+        [ADJ_VECTOR, (3, Atom(Kpow(F(1, 3)), adjoint(3), "even"))],
+    ),
+}
+
+
+@pytest.mark.parametrize("keyword", list(MULTIPLETS))
+def test_multiplet_table_keyword_parses_renders_and_twists(keyword):
+    cls, line, atoms = KEYWORD_CASES[keyword]
+    text = f"{HEADER}{line}\n"
+    theory = parse_theory_file(text)
+    assert [type(m) for m in theory.multiplets] == [cls]
+    assert render_theory(theory) == text
+    assert twist_content(theory) == FieldContent(2, tuple(atoms))
 
 
 def test_chiral_twist_power_convention():
