@@ -262,9 +262,11 @@ def solve_r(theory: Theory, target: str = "all-mixed") -> SolveResult:
 
     target is a single gauge or mixed monomial name (e.g. "g1*s2"), or
     "all-mixed" to require every mixed coefficient to vanish at once.
-    Coefficients are exact cubics in r, so the rational root theorem finds
-    every rational solution; irrational roots are deliberately not
-    approximated and simply do not appear.
+    Coefficients are exact cubics in r, read off one interpolate_in_r call
+    whose evaluator classifies the anomaly once per sample theory, so a
+    solve costs five pipeline runs whatever the number of targets.  The
+    rational root theorem then finds every rational solution; irrational
+    roots are deliberately not approximated and simply do not appear.
     """
     ctx = context_for_theory(theory)
     buckets = monomial_buckets(ctx, theory.dimension)
@@ -279,16 +281,13 @@ def solve_r(theory: Theory, target: str = "all-mixed") -> SolveResult:
             )
         names = [target]
 
-    polynomials: dict[str, univariate.Coeffs] = {}
-    for name in names:
-        exponents = ctx.monomial(_name_to_mapping(name))
+    def coefficients_at(instance: Theory) -> dict[str, Fraction]:
+        report = classify(anomaly_polynomial(twist_content(instance), ctx), theory.dimension)
+        found = {**report.pure_gauge, **report.mixed}
+        return {name: found.get(name, Fraction(0)) for name in names}
 
-        def coefficient_at(instance: Theory, exponents=exponents) -> Fraction:
-            poly = anomaly_polynomial(twist_content(instance), ctx)
-            return poly.coefficient(exponents)
-
-        polynomials[name] = interpolate_in_r(theory, coefficient_at)
-
+    # with nothing targeted there is nothing to constrain, marked charge or not
+    polynomials = interpolate_in_r(theory, coefficients_at) if names else {}
     constraints = [c for c in polynomials.values() if c]
     if not constraints:
         return SolveResult(target, polynomials, None, True)
@@ -296,19 +295,6 @@ def solve_r(theory: Theory, target: str = "all-mixed") -> SolveResult:
     for coeffs in constraints[1:]:
         roots &= set(univariate.rational_roots(coeffs))
     return SolveResult(target, polynomials, sorted(roots), False)
-
-
-def _name_to_mapping(name: str) -> dict[str, int]:
-    out: dict[str, int] = {}
-    if name == "1":
-        return out
-    for part in name.split("*"):
-        if "^" in part:
-            gen, e = part.split("^")
-            out[gen] = out.get(gen, 0) + int(e)
-        else:
-            out[part] = out.get(part, 0) + 1
-    return out
 
 
 # ---------------------------------------------------------------------------

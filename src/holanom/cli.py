@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -147,18 +148,10 @@ def _cmd_qcd(args) -> list[Record]:
 def _cmd_seiberg(args) -> list[Record]:
     spec = SQCDSpec(args.colors, args.flavors)
     result = seiberg_match(spec)
-    records: list[Record] = [
+    a, c = physical_ac(result.a_hol, result.c_hol)
+    return [
         ("colors", args.colors),
         ("flavors", args.flavors),
-    ]
-    if result.r_meson is None:
-        records += [
-            ("matched", False),
-            ("residual", univariate.format_poly(result.residual, "r_M")),
-        ]
-        return records
-    a, c = physical_ac(result.a_hol, result.c_hol)
-    records += [
         ("r_M", result.r_meson),
         ("matched", result.matched),
         ("a_hol", result.a_hol),
@@ -166,7 +159,6 @@ def _cmd_seiberg(args) -> list[Record]:
         ("a", a),
         ("c", c),
     ]
-    return records
 
 
 def _cmd_solve_r(args) -> list[Record]:
@@ -234,6 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     compactify = sub.add_parser(
         "compactify", help="push the anomaly forward along a curve fiber"
     )
+    # argparse's own matcher plus p/q: read -3/2 as a value, not as an option
+    compactify._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     compactify.add_argument("file")
     compactify.add_argument("--fiber-chi", type=_rational_argument, required=True)
     compactify.add_argument("--json", action="store_true")

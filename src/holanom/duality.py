@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from . import univariate
 from .anomaly import AnomalyReport, anomaly_polynomial, classify, context_for_theory
@@ -122,38 +121,29 @@ def magnetic_anomalies(spec: SQCDSpec, r_meson: RationalLike) -> tuple[Fraction,
 
 @dataclass(frozen=True)
 class MatchResult:
-    r_meson: Union[Fraction, None]
+    r_meson: Fraction
     matched: bool
-    a_hol: Union[Fraction, None] = None
-    c_hol: Union[Fraction, None] = None
-    residual: Union[univariate.Coeffs, None] = None
+    a_hol: Fraction
+    c_hol: Fraction
 
 
 def seiberg_match(spec: SQCDSpec) -> MatchResult:
     """Solve the meson R-charge from the a_hol match, then verify c_hol at it.
 
-    The magnetic a_hol is affine in the meson charge, so the match
-    condition is a linear equation; if it has no rational solution the
-    residual polynomial is returned instead of a root.
+    The magnetic a_hol is affine in the meson charge with slope N_f^2/24, so
+    the match condition is a linear equation with one rational root; any
+    other degree is an internal error.  Seven pipeline runs: the electric
+    theory, five interpolation samples and the magnetic check at the root.
     """
     a_electric, c_electric = electric_anomalies(spec)
     template = magnetic_theory(spec, 0, meson_unknown=True)
-
-    def a_hol_of(theory: Theory) -> Fraction:
-        return _report(theory).a_hol
-
-    a_coeffs = interpolate_in_r(template, a_hol_of)
-    difference = univariate.add(a_coeffs, (-a_electric,))
-    if not difference:
-        raise ConsistencyError("magnetic a_hol is identically the electric value")
-    roots = univariate.rational_roots(difference)
-    if not roots:
-        return MatchResult(None, False, residual=difference)
-    r_meson = roots[0]
+    a_coeffs = interpolate_in_r(template, lambda theory: {"a_hol": _report(theory).a_hol})
+    difference = univariate.add(a_coeffs["a_hol"], (-a_electric,))
+    if univariate.degree(difference) != 1:
+        raise ConsistencyError(
+            f"a_hol match {univariate.format_poly(difference)} = 0 "
+            "is not linear in the meson charge r"
+        )
+    r_meson = -difference[0] / difference[1]
     _, c_magnetic = magnetic_anomalies(spec, r_meson)
-    return MatchResult(
-        r_meson,
-        c_magnetic == c_electric,
-        a_hol=a_electric,
-        c_hol=c_electric,
-    )
+    return MatchResult(r_meson, c_magnetic == c_electric, a_electric, c_electric)

@@ -10,15 +10,17 @@ and rendering, and the reference table of multiplets all read it.
 
 Anomaly coefficients of a theory with one undetermined R-charge are exact
 polynomials of degree at most 3 in it (the charge enters only through
-exp(-(r+1)/2 * g1), truncated in degree 6), so interpolate_in_r recovers
-them exactly from four sample points and verifies against a fifth.
+exp(-(r+1)/2 * g1), truncated in degree 6).  interpolate_in_r recovers every
+coefficient a caller names from the same four sample theories and verifies
+each against a fifth, so one call costs five evaluations however many
+coefficients it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Mapping, Union
 
 from .chern import Atom, FieldContent, GaugeGroup, GaugeRep, Kpow, adjoint
 from .ring import Rational, RationalLike
@@ -187,14 +189,6 @@ SAMPLE_POINTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2))
 CHECK_POINT = Fraction(3)
 
 
-def unknown_indices(theory: Theory) -> list[int]:
-    return [
-        i
-        for i, m in enumerate(theory.multiplets)
-        if isinstance(m, Chiral) and m.unknown_r
-    ]
-
-
 def with_unknown_r(theory: Theory, value: RationalLike) -> Theory:
     """The theory with every unknown-marked chiral set to the given R-charge."""
     value = Fraction(value)
@@ -208,22 +202,27 @@ def with_unknown_r(theory: Theory, value: RationalLike) -> Theory:
 
 
 def interpolate_in_r(
-    theory: Theory, evaluator: Callable[[Theory], Rational]
-) -> Coeffs:
-    """Exact cubic polynomial in the unknown R-charge matching the evaluator.
+    theory: Theory, evaluator: Callable[[Theory], Mapping[str, Rational]]
+) -> dict[str, Coeffs]:
+    """Exact cubic polynomial in the unknown R-charge of each named value.
 
-    Samples the evaluator at four rational nodes, Lagrange-interpolates,
-    and confirms the result at a held-out fifth node; a mismatch means the
-    evaluator is not cubic in r and is reported as an internal error.
+    The evaluator maps a theory to {name: value}.  It is sampled at four
+    rational nodes and every name is Lagrange-interpolated from those
+    samples; each result is then confirmed at a held-out fifth node, where a
+    mismatch means that value is not cubic in r and is reported as an
+    internal error.
     """
-    if not unknown_indices(theory):
+    if not any(isinstance(m, Chiral) and m.unknown_r for m in theory.multiplets):
         raise ConfigurationError("no multiplet is marked as carrying the unknown R-charge")
-    points = [(x, Fraction(evaluator(with_unknown_r(theory, x)))) for x in SAMPLE_POINTS]
-    coeffs = lagrange_interpolate(points)
-    checked = Fraction(evaluator(with_unknown_r(theory, CHECK_POINT)))
-    if evaluate(coeffs, CHECK_POINT) != checked:
-        raise ConsistencyError(
-            "interpolated polynomial fails the held-out check; "
-            "the evaluator is not polynomial of degree <= 3 in r"
-        )
-    return coeffs
+    samples = [(x, evaluator(with_unknown_r(theory, x))) for x in SAMPLE_POINTS]
+    checked = evaluator(with_unknown_r(theory, CHECK_POINT))
+    polynomials = {}
+    for name, value in checked.items():
+        coeffs = lagrange_interpolate([(x, Fraction(values[name])) for x, values in samples])
+        if evaluate(coeffs, CHECK_POINT) != Fraction(value):
+            raise ConsistencyError(
+                f"interpolated polynomial of {name} fails the held-out check; "
+                "the evaluator is not polynomial of degree <= 3 in r"
+            )
+        polynomials[name] = coeffs
+    return polynomials

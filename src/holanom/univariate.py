@@ -117,8 +117,8 @@ def rational_roots(coeffs: Coeffs) -> list[Fraction]:
     return sorted(roots)
 
 
-def format_poly(coeffs: Coeffs, variable: str = "r") -> str:
-    """Human-readable rendering, highest power first, e.g. "-5*r - 3"."""
+def format_poly(coeffs: Coeffs) -> str:
+    """Human-readable rendering in r, highest power first, e.g. "-5*r - 3"."""
     coeffs = normalize(coeffs)
     if not coeffs:
         return "0"
@@ -130,7 +130,7 @@ def format_poly(coeffs: Coeffs, variable: str = "r") -> str:
         if power == 0:
             body = str(abs(c))
         else:
-            var = variable if power == 1 else f"{variable}^{power}"
+            var = "r" if power == 1 else f"r^{power}"
             body = var if abs(c) == 1 else f"{abs(c)}*{var}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")

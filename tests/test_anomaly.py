@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from holanom import anomaly, duality
 from holanom.anomaly import (
     anomaly_polynomial,
     classify,
@@ -27,6 +28,7 @@ from holanom.chern import (
     Atom,
     FieldContent,
     GaugeGroup,
+    GaugeRep,
     Kpow,
     TANGENT,
     TRIVIAL,
@@ -39,8 +41,10 @@ from holanom.chern import (
     twist_context,
     untwisted_context,
 )
+from holanom.duality import SQCDSpec, seiberg_match
 from holanom.ring import GeneratorMismatch, GradedPoly
-from holanom.theory import Chiral, Theory, Vector, twist_content
+from holanom.theory import Chiral, Theory, Vector, twist_content, with_unknown_r
+from holanom.univariate import evaluate
 
 from oracles import random_rational
 
@@ -419,9 +423,61 @@ def test_solve_r_unconstrained_without_gauge_matter():
     assert result.roots is None
 
 
+def test_solve_r_without_gauge_group_has_nothing_to_constrain():
+    theory = Theory(multiplets=(Chiral(F(-1, 3), trivial(1)),))
+    result = solve_r(theory)
+    assert result.polynomials == {}
+    assert result.unconstrained
+
+
 def test_solve_r_rejects_unknown_target():
     with pytest.raises(ValueError):
         solve_r(_sqcd_template(3, 5), target="g1*g2")
+
+
+def _charged_sqcd_template(nc, nf):
+    """SU(N_c) x U(1) SQCD: quarks at charge 1, antiquarks at charge -1/2."""
+    return Theory(
+        gauge=GaugeGroup(su=nc, abelian=True),
+        multiplets=(
+            Vector(),
+            Chiral(F(0), GaugeRep(nc, 1, 1, 1), copies=nf, unknown_r=True),
+            Chiral(F(0), GaugeRep(nc, 1, -1, F(-1, 2)), copies=nf, unknown_r=True),
+        ),
+    )
+
+
+def test_solve_r_all_mixed_polynomials_match_the_pipeline():
+    theory = _charged_sqcd_template(3, 5)
+    ctx = context_for_theory(theory)
+    result = solve_r(theory)
+    assert list(result.polynomials) == monomial_buckets(ctx, 2)["mixed"]
+    for r in (F(-3, 5), F(7, 2), F(-11, 3)):
+        report = classify(anomaly_polynomial(twist_content(with_unknown_r(theory, r)), ctx), 2)
+        for name, coeffs in result.polynomials.items():
+            assert evaluate(coeffs, r) == report.mixed.get(name, 0)
+
+
+@pytest.mark.parametrize(
+    "call,runs",
+    [
+        (lambda: solve_r(_charged_sqcd_template(3, 5)), 5),
+        (lambda: seiberg_match(SQCDSpec(3, 5)), 7),
+    ],
+    ids=["solve_r-su3xu1-all-mixed", "seiberg_match-3-5"],
+)
+def test_pipeline_runs_per_call(monkeypatch, call, runs):
+    original = anomaly.anomaly_polynomial
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(anomaly, "anomaly_polynomial", counted)
+    monkeypatch.setattr(duality, "anomaly_polynomial", counted)
+    call()
+    assert len(calls) == runs
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from holanom import duality
 from holanom.anomaly import (
     anomaly_polynomial,
     classify,
@@ -24,7 +25,7 @@ from holanom.duality import (
     quark_charge,
     seiberg_match,
 )
-from holanom.theory import Chiral, ConfigurationError, twist_content
+from holanom.theory import Chiral, ConfigurationError, ConsistencyError, twist_content
 
 from oracles import random_rational
 
@@ -119,6 +120,15 @@ def test_seiberg_match_instances(nc, nf, r_m):
     result = seiberg_match(SQCDSpec(nc, nf))
     assert result.r_meson == r_m
     assert result.matched
+
+
+@pytest.mark.parametrize("equal_to_electric", [False, True])
+def test_seiberg_match_rejects_a_constant_magnetic_a_hol(monkeypatch, equal_to_electric):
+    spec = SQCDSpec(3, 5)
+    a_hol = electric_anomalies(spec)[0] if equal_to_electric else F(1, 24)
+    monkeypatch.setattr(duality, "interpolate_in_r", lambda theory, evaluator: {"a_hol": (a_hol,)})
+    with pytest.raises(ConsistencyError, match="not linear"):
+        seiberg_match(spec)
 
 
 def test_seiberg_match_grid():

@@ -52,6 +52,7 @@ CASES = [
     "solve-r n2.th",
     "compactify line.th --fiber-chi 1",
     "compactify line.th --fiber-chi=-3/2 --json",
+    "compactify line.th --fiber-chi -3/2",
     "compactify n4.th --fiber-chi 1",
     "compactify dim3.th --fiber-chi 1",
     *(

@@ -237,7 +237,7 @@ def _sqcd_template(nc, nf):
 
 def test_interpolate_constant_evaluator():
     theory = Theory(multiplets=(Chiral(F(0), trivial(1), unknown_r=True),))
-    assert interpolate_in_r(theory, lambda t: F(5)) == (F(5),)
+    assert interpolate_in_r(theory, lambda t: {"five": F(5)}) == {"five": (F(5),)}
 
 
 def test_interpolate_chiral_gravitational_coefficient():
@@ -246,9 +246,9 @@ def test_interpolate_chiral_gravitational_coefficient():
     theory = Theory(multiplets=(Chiral(F(0), trivial(1), unknown_r=True),))
 
     def a_hol(instance):
-        return classify(anomaly_polynomial(twist_content(instance)), 2).a_hol
+        return {"a_hol": classify(anomaly_polynomial(twist_content(instance)), 2).a_hol}
 
-    assert interpolate_in_r(theory, a_hol) == (F(0), F(1, 24))
+    assert interpolate_in_r(theory, a_hol) == {"a_hol": (F(0), F(1, 24))}
 
 
 def test_interpolate_sqcd_mixed_coefficient():
@@ -259,18 +259,17 @@ def test_interpolate_sqcd_mixed_coefficient():
     ctx = context_for_theory(theory)
 
     def mixed(instance):
-        return anomaly_polynomial(twist_content(instance), ctx).coefficient(
-            {"g1": 1, "s2": 1}
-        )
+        poly = anomaly_polynomial(twist_content(instance), ctx)
+        return {"g1*s2": poly.coefficient({"g1": 1, "s2": 1})}
 
-    coeffs = interpolate_in_r(theory, mixed)
-    assert coeffs == (F(-nc), F(-nf))  # -(N_c + N_f r), linear with root -N_c/N_f
+    # -(N_c + N_f r), linear with root -N_c/N_f
+    assert interpolate_in_r(theory, mixed) == {"g1*s2": (F(-nc), F(-nf))}
 
 
 def test_interpolate_requires_marked_multiplet():
     theory = Theory(multiplets=(Chiral(F(0), trivial(1)),))
     with pytest.raises(ConfigurationError):
-        interpolate_in_r(theory, lambda t: F(0))
+        interpolate_in_r(theory, lambda t: {"zero": F(0)})
 
 
 def test_interpolate_detects_non_cubic_evaluator():
@@ -278,10 +277,28 @@ def test_interpolate_detects_non_cubic_evaluator():
 
     def quartic(instance):
         r = instance.multiplets[0].r
-        return r**4
+        return {"quartic": r**4}
 
     with pytest.raises(ConsistencyError):
         interpolate_in_r(theory, quartic)
+
+
+def test_interpolate_checks_every_name_at_the_held_out_node():
+    theory = Theory(multiplets=(Chiral(F(0), trivial(1), unknown_r=True),))
+
+    def values(instance, with_quartic=True):
+        r = instance.multiplets[0].r
+        out = {"cubic": r**3 - r, "quartic": r**4, "linear": 2 * r}
+        if not with_quartic:
+            del out["quartic"]
+        return out
+
+    assert interpolate_in_r(theory, lambda t: values(t, with_quartic=False)) == {
+        "cubic": (F(0), F(-1), F(0), F(1)),
+        "linear": (F(0), F(2)),
+    }
+    with pytest.raises(ConsistencyError, match="quartic"):
+        interpolate_in_r(theory, values)
 
 
 def test_with_unknown_r_substitutes_all_marks():

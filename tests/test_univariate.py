@@ -64,7 +64,7 @@ def test_rational_roots_rejects_zero_polynomial():
 
 def test_format_poly():
     assert uni.format_poly((F(-3), F(-5))) == "-5*r - 3"
-    assert uni.format_poly((F(1, 2), F(0), F(1)), "x") == "x^2 + 1/2"
+    assert uni.format_poly((F(1, 2), F(0), F(1))) == "r^2 + 1/2"
     assert uni.format_poly(()) == "0"
 
 
