@@ -49,6 +49,7 @@ from .theory import (
     interpolate_in_r,
     multiplet_atoms,
     multiplet_uses,
+    require_unknown_r,
     twist_content,
 )
 
@@ -286,7 +287,8 @@ def solve_r(theory: Theory, target: str = "all-mixed") -> SolveResult:
         found = {**report.pure_gauge, **report.mixed}
         return {name: found.get(name, Fraction(0)) for name in names}
 
-    # with nothing targeted there is nothing to constrain, marked charge or not
+    require_unknown_r(theory)
+    # a marked charge with nothing targeted is unconstrained, without sampling
     polynomials = interpolate_in_r(theory, coefficients_at) if names else {}
     constraints = [c for c in polynomials.values() if c]
     if not constraints:

@@ -6,6 +6,7 @@ Conventions used throughout:
    the universal rank-n tangent bundle, with g_k in degree 2k; beyond the
    rank, ch_k is determined by Newton's identities with c_j = 0 for j > n;
  * the canonical bundle K has ch_1(K) = -g1, so ch(K^lam) = exp(-lam*g1);
+   the trivial line TRIVIAL is Kpow(0), i.e. K^0;
  * s2 and s3 are ch_2 and ch_3 of the fundamental representation of the
    simple gauge factor (so the fundamental has coefficients 1, 1);
  * f1 is the first Chern class of the abelian background, entering through
@@ -32,7 +33,6 @@ from .ring import (
     GradedPoly,
     RationalLike,
 )
-from .univariate import series_log, series_reciprocal
 
 GAUGE_GENERATOR_DEGREES = {"s2": 4, "s3": 6, "f1": 2}
 # Largest supported complex dimension; every context above it is refused,
@@ -160,25 +160,16 @@ class _Cotangent:
     pass
 
 
-@dataclass(frozen=True)
-class _Trivial:
-    pass
-
-
 TANGENT = _Tangent()
 COTANGENT = _Cotangent()
-TRIVIAL = _Trivial()
+TRIVIAL = Kpow(Fraction(0))
 
-Geom = Union[Kpow, _Tangent, _Cotangent, _Trivial]
+Geom = Union[Kpow, _Tangent, _Cotangent]
 
 
 @dataclass(frozen=True)
 class Atom:
-    """One (geometric line/tangent factor) x (gauge representation) summand.
-
-    Kpow(0) is normalized to the trivial geometric factor so that
-    structurally distinct spellings of the same summand merge.
-    """
+    """One (geometric line/tangent factor) x (gauge representation) summand."""
 
     geom: Geom
     rep: GaugeRep
@@ -187,8 +178,6 @@ class Atom:
     def __post_init__(self):
         if self.parity not in ("even", "odd"):
             raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
-        if isinstance(self.geom, Kpow) and self.geom.power == 0:
-            object.__setattr__(self, "geom", TRIVIAL)
 
     @property
     def sign(self) -> int:
@@ -199,7 +188,7 @@ class Atom:
 
 
 def _atom_key(atom: Atom):
-    kinds = {_Trivial: 0, Kpow: 1, _Tangent: 2, _Cotangent: 3}
+    kinds = {Kpow: 0, _Tangent: 1, _Cotangent: 2}
     power = atom.geom.power if isinstance(atom.geom, Kpow) else Fraction(0)
     rep = atom.rep
     return (kinds[type(atom.geom)], power, rep.dim, rep.t2, rep.t3, rep.q, atom.parity)
@@ -247,15 +236,16 @@ class FieldContent:
 # Newton identities between Chern classes and Chern characters
 
 
-def _newton(n: int, ctx: GeneratorSet, kmax: int) -> tuple[list[GradedPoly], list[GradedPoly]]:
-    """Chern classes c_1..c_n and power sums p_1..p_kmax of the rank-n bundle with ch_k = g_k.
+def _newton(n: int, ctx: GeneratorSet) -> tuple[list[GradedPoly], list[GradedPoly]]:
+    """Chern classes c_1..c_n and power sums p_1..p_{cap/2} of the rank-n bundle with ch_k = g_k.
 
     Newton's identity p_k = c1*p_{k-1} - c2*p_{k-2} + ... + (-1)^(k-1)*k*c_k
-    (c_j = 0 for j > n) gives c_k for k <= n, where p_k = k! * g_k, and p_k beyond.
+    (c_j = 0 for j > n) gives c_k for k <= n, where p_k = k! * g_k, and p_k
+    beyond; p_k vanishes above half the cap, so that is where the list ends.
     """
     cs: list[GradedPoly] = []
     p: list[GradedPoly] = [GradedPoly.zero(ctx)]
-    for k in range(1, max(n, kmax) + 1):
+    for k in range(1, ctx.cap // 2 + 1):
         acc = GradedPoly.zero(ctx)
         for i in range(1, min(k - 1, n) + 1):
             acc = acc + Fraction((-1) ** (i - 1)) * cs[i - 1] * p[k - i]
@@ -264,25 +254,17 @@ def _newton(n: int, ctx: GeneratorSet, kmax: int) -> tuple[list[GradedPoly], lis
             cs.append((p[k] - acc) * Fraction((-1) ** (k - 1), k))
         else:
             p.append(acc)
-    return cs, p[1 : kmax + 1]
+    return cs, p[1:]
 
 
 def c_from_ch(n: int, ctx: GeneratorSet) -> list[GradedPoly]:
     """Chern classes c_1..c_n of the rank-n bundle with ch_k = g_k."""
-    return _newton(n, ctx, n)[0]
+    return _newton(n, ctx)[0]
 
 
-def tangent_power_sums(n: int, ctx: GeneratorSet, kmax: int) -> list[GradedPoly]:
-    """Power sums p_1..p_kmax of the rank-n tangent bundle (p_k = k! ch_k)."""
-    return _newton(n, ctx, kmax)[1]
-
-
-def tangent_ch(n: int, ctx: GeneratorSet, kmax: int) -> list[GradedPoly]:
-    """Chern characters ch_1..ch_kmax of the rank-n tangent bundle."""
-    return [
-        p * Fraction(1, factorial(k))
-        for k, p in enumerate(tangent_power_sums(n, ctx, kmax), start=1)
-    ]
+def tangent_ch(n: int, ctx: GeneratorSet) -> list[GradedPoly]:
+    """Chern characters ch_1..ch_{cap/2} of the rank-n tangent bundle."""
+    return [p * Fraction(1, factorial(k)) for k, p in enumerate(_newton(n, ctx)[1], start=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -297,20 +279,13 @@ def _require_gravitational(ctx: GeneratorSet, n: int):
 
 def ch_geom(geom: Geom, n: int, ctx: GeneratorSet) -> GradedPoly:
     """Truncated Chern character of a geometric factor in dimension n."""
-    if isinstance(geom, _Trivial):
-        return GradedPoly.constant(ctx, 1)
     if isinstance(geom, Kpow):
         _require_gravitational(ctx, 1)
         return (GradedPoly.generator(ctx, "g1") * (-geom.power)).exp()
     _require_gravitational(ctx, n)
-    total = GradedPoly.constant(ctx, n)
-    characters = tangent_ch(n, ctx, ctx.cap // 2)
-    for k, ch_k in enumerate(characters, start=1):
-        if isinstance(geom, _Cotangent):
-            # dualizing negates the odd power sums
-            ch_k = ch_k * Fraction((-1) ** k)
-        total = total + ch_k
-    return total
+    # dualizing negates the odd power sums
+    sign = -1 if isinstance(geom, _Cotangent) else 1
+    return n + sum(sign**k * ch_k for k, ch_k in enumerate(tangent_ch(n, ctx), start=1))
 
 
 def ch_rep(rep: GaugeRep, ctx: GeneratorSet) -> GradedPoly:
@@ -353,13 +328,15 @@ def ch_content(content: FieldContent, ctx: GeneratorSet) -> GradedPoly:
 def todd_log_coefficients(kmax: int) -> tuple[Fraction, ...]:
     """Coefficients a_1..a_kmax of log(x / (1 - e^{-x})) = sum a_k x^k.
 
-    Derived once by formal series division and logarithm; the Todd class
-    of a bundle is then exp(sum_k a_k p_k) in its power sums.
+    Taken once as -log((1 - e^{-x})/x) in the one-generator ring truncated
+    above x^kmax; the Todd class of a bundle is then exp(sum_k a_k p_k) in
+    its power sums.
     """
+    ring = GeneratorSet(("x",), (2,), 2 * kmax)
     # (1 - e^{-x})/x = sum (-1)^k x^k / (k+1)!
-    denominator = [Fraction((-1) ** k, factorial(k + 1)) for k in range(kmax + 1)]
-    series = series_reciprocal(denominator, kmax)
-    return tuple(series_log(series, kmax)[1:])
+    terms = {(k,): Fraction((-1) ** k, factorial(k + 1)) for k in range(kmax + 1)}
+    log = GradedPoly(ring, terms).log()
+    return tuple(-log.coefficient((k,)) for k in range(1, kmax + 1))
 
 
 @lru_cache(maxsize=4 * MAX_DIMENSION)
@@ -371,13 +348,9 @@ def todd(n: int, ctx: GeneratorSet) -> GradedPoly:
     holds the four twist contexts of every supported dimension.
     """
     _require_gravitational(ctx, n)
-    kmax = ctx.cap // 2
-    coefficients = todd_log_coefficients(kmax)
-    power_sums = tangent_power_sums(n, ctx, kmax)
-    exponent = GradedPoly.zero(ctx)
-    for a_k, p_k in zip(coefficients, power_sums):
-        exponent = exponent + a_k * p_k
-    return exponent.exp()
+    power_sums = _newton(n, ctx)[1]
+    coefficients = todd_log_coefficients(len(power_sums))
+    return sum(a_k * p_k for a_k, p_k in zip(coefficients, power_sums)).exp()
 
 
 # ---------------------------------------------------------------------------
@@ -388,53 +361,32 @@ def pushforward_curve(poly: GradedPoly, n: int, chi_hol: RationalLike) -> Graded
     """Integrate a class on the (n+1)-dimensional total space over a curve fiber.
 
     The tangent bundle splits off the fiber line, whose first Chern class t
-    squares to zero on the curve and integrates to 2*chi_hol.  Concretely:
-    substitute g1 -> g1 + s with s a square-zero degree-2 symbol, replace
-    g_k for k >= 2 by ch_k of the rank-n base tangent bundle, expand, and
-    return 2*chi_hol times the s-linear part.  Gauge generators pass
-    through unchanged.
+    squares to zero on the curve and integrates to 2*chi_hol.  Since t^2 = 0
+    the line changes only ch_1, g1 -> g1 + t, so the pushforward is
+    2*chi_hol * dpoly/dg1 over the base: g_{n+1} becomes ch_{n+1} of the
+    rank-n base tangent bundle, and the gauge generators of degree <= 2n+2
+    pass through unchanged (the higher ones vanish on the base).
     """
-    src = poly.ctx
-    for name in src.names:
+    src, cap = poly.ctx, 2 * n + 2
+    names, degrees = [], []
+    for i, (name, degree) in enumerate(zip(src.names, src.degrees)):
         match = _GRAV_NAME.fullmatch(name)
-        if match and int(match.group(1)) > n + 1:
-            if any(e[src.index(name)] for e, _ in poly.terms()):
-                raise GeneratorMismatch(
-                    f"generator {name} exceeds the rank n+1 = {n + 1} total space"
-                )
+        rank = int(match.group(1)) if match else 0
+        if rank > n + 1 and any(e[i] for e, _ in poly.terms()):
+            raise GeneratorMismatch(f"generator {name} exceeds the rank n+1 = {n + 1} total space")
+        if rank <= n and degree <= cap:
+            names.append(name)
+            degrees.append(degree)
     _require_gravitational(src, n + 1)
+    target = GeneratorSet(tuple(names), tuple(degrees), cap)
+    # a generator the base ring drops vanishes there
+    images = {name: GradedPoly.zero(target) for name in src.names}
+    for name in target.names:
+        images[name] = GradedPoly.generator(target, name)
+    images[f"g{n + 1}"] = tangent_ch(n, target)[n]
 
-    target_names, target_degrees = [], []
-    for name, degree in zip(src.names, src.degrees):
-        match = _GRAV_NAME.fullmatch(name)
-        if match and int(match.group(1)) > n:
-            continue
-        target_names.append(name)
-        target_degrees.append(degree)
-    target = GeneratorSet(tuple(target_names), tuple(target_degrees), 2 * n + 2)
-    inter = GeneratorSet(
-        tuple(target_names) + ("s",), tuple(target_degrees) + (2,), 2 * n + 4
+    g1 = src.index("g1")
+    derivative = GradedPoly(
+        src, {e[:g1] + (e[g1] - 1,) + e[g1 + 1 :]: c * e[g1] for e, c in poly.terms() if e[g1]}
     )
-
-    base_ch = tangent_ch(n, inter, n + 1)
-    images: dict[str, GradedPoly] = {}
-    for name in src.names:
-        match = _GRAV_NAME.fullmatch(name)
-        if not match:
-            images[name] = GradedPoly.generator(inter, name)
-            continue
-        k = int(match.group(1))
-        if k == 1:
-            images[name] = GradedPoly.generator(inter, "g1") + GradedPoly.generator(inter, "s")
-        else:
-            images[name] = base_ch[k - 1]
-
-    expanded = poly.substitute(inter, images)
-    s_index = inter.index("s")
-    fiber_integral = 2 * Fraction(chi_hol)
-    collected = {}
-    for exponents, coeff in expanded.terms():
-        if exponents[s_index] != 1:
-            continue
-        collected[exponents[:-1]] = coeff * fiber_integral
-    return GradedPoly(target, collected)
+    return derivative.substitute(target, images) * (2 * Fraction(chi_hol))

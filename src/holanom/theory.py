@@ -189,6 +189,12 @@ SAMPLE_POINTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2))
 CHECK_POINT = Fraction(3)
 
 
+def require_unknown_r(theory: Theory) -> None:
+    """Refuse a theory in which no chiral multiplet carries the unknown R-charge."""
+    if not any(isinstance(m, Chiral) and m.unknown_r for m in theory.multiplets):
+        raise ConfigurationError("no multiplet is marked as carrying the unknown R-charge")
+
+
 def with_unknown_r(theory: Theory, value: RationalLike) -> Theory:
     """The theory with every unknown-marked chiral set to the given R-charge."""
     value = Fraction(value)
@@ -212,8 +218,7 @@ def interpolate_in_r(
     mismatch means that value is not cubic in r and is reported as an
     internal error.
     """
-    if not any(isinstance(m, Chiral) and m.unknown_r for m in theory.multiplets):
-        raise ConfigurationError("no multiplet is marked as carrying the unknown R-charge")
+    require_unknown_r(theory)
     samples = [(x, evaluator(with_unknown_r(theory, x))) for x in SAMPLE_POINTS]
     checked = evaluator(with_unknown_r(theory, CHECK_POINT))
     polynomials = {}

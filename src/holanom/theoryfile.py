@@ -34,7 +34,6 @@ from .chern import (
     GaugeGroup,
     GaugeRep,
     Kpow,
-    TRIVIAL,
     adjoint,
     antifundamental,
     fundamental,
@@ -275,14 +274,10 @@ def render_theory(theory: Theory) -> str:
             for copies, atom in m.content.pieces:
                 if copies < 0:
                     atom, copies = atom.flipped(), -copies
-                if isinstance(atom.geom, Kpow):
-                    power = atom.geom.power
-                elif atom.geom == TRIVIAL:
-                    power = Fraction(0)
-                else:
+                if not isinstance(atom.geom, Kpow):
                     raise ValueError("tangent-type raw content has no theory-file spelling")
                 line = (
-                    f"multiplet raw parity {atom.parity} k {format_rational(power)}"
+                    f"multiplet raw parity {atom.parity} k {format_rational(atom.geom.power)}"
                     f" rep {_render_rep(atom.rep, theory.gauge)}"
                 )
                 if copies > 1:

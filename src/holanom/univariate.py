@@ -1,10 +1,9 @@
 """Dense univariate polynomials over exact rationals.
 
 Coefficients are stored in ascending powers as a tuple of Fractions with no
-trailing zeros; the zero polynomial is the empty tuple.  Provides exact
-Lagrange interpolation, complete rational root finding, and the short
-formal-series routines (reciprocal, log) used to derive multiplicative
-genus coefficients.
+trailing zeros; the zero polynomial is the empty tuple.  These are the
+polynomials in the unknown R-charge r: exact Lagrange interpolation,
+complete rational root finding, and rendering in r.
 """
 
 from __future__ import annotations
@@ -137,35 +136,3 @@ def format_poly(coeffs: Coeffs) -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
-
-
-def series_reciprocal(coeffs: Sequence[Fraction], order: int) -> list[Fraction]:
-    """Coefficients of 1/f through the given order; f must have f(0) != 0."""
-    if not coeffs or coeffs[0] == 0:
-        raise ValueError("series reciprocal needs a non-zero constant term")
-    a = [Fraction(c) for c in coeffs] + [Fraction(0)] * (order + 1 - len(coeffs))
-    out = [Fraction(1) / a[0]]
-    for k in range(1, order + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            acc += a[i] * out[k - i]
-        out.append(-acc / a[0])
-    return out
-
-
-def series_log(coeffs: Sequence[Fraction], order: int) -> list[Fraction]:
-    """Coefficients of log(f) through the given order; f must have f(0) = 1."""
-    if not coeffs or coeffs[0] != 1:
-        raise ValueError("series log needs constant term 1")
-    a = [Fraction(c) for c in coeffs] + [Fraction(0)] * (order + 1 - len(coeffs))
-    # d/dx log f = f'/f, integrated term by term.
-    derivative = [a[k] * k for k in range(1, order + 1)]
-    reciprocal = series_reciprocal(a, order)
-    out = [Fraction(0)] * (order + 1)
-    for k in range(1, order + 1):
-        acc = Fraction(0)
-        for i in range(k):
-            if i < len(derivative):
-                acc += derivative[i] * reciprocal[k - 1 - i]
-        out[k] = acc / k
-    return out

@@ -4,8 +4,8 @@ These re-implement truncated polynomial arithmetic in the most naive way
 possible (dense dicts keyed by exponent tuples, no code shared with the
 package) so that expected values are pinned by something that cannot share
 a bug with the implementation under test.  The few helpers that build
-package objects (ch_from_c, wedge_total) do so the long way, by formulas
-the package itself no longer uses.
+package objects (ch_from_c, wedge_total, pushforward_curve_square_zero) do
+so the long way, by formulas the package itself no longer uses.
 """
 
 from __future__ import annotations
@@ -16,8 +16,16 @@ from math import comb, factorial
 from operator import mul
 from typing import Sequence
 
-from holanom.chern import Atom, FieldContent, GaugeRep, Kpow
-from holanom.ring import GradedPoly
+from holanom.chern import (
+    _GRAV_NAME,
+    Atom,
+    FieldContent,
+    GaugeRep,
+    Kpow,
+    _require_gravitational,
+    tangent_ch,
+)
+from holanom.ring import GeneratorMismatch, GeneratorSet, GradedPoly
 
 # A naive polynomial is dict[exponent tuple, Fraction]; degrees is the
 # per-generator degree tuple and cap the truncation bound.
@@ -158,6 +166,23 @@ def canonical_power_top_by_roots(roots, lam, order):
     return total[order]
 
 
+def bernoulli_numbers(kmax):
+    """B_0..B_kmax with B_1 = -1/2, from sum_{j<=m} C(m+1, j) B_j = 0."""
+    b = [Fraction(1)]
+    for m in range(1, kmax + 1):
+        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
+
+
+def todd_log_closed_form(kmax):
+    """a_1..a_kmax of log(x / (1 - e^{-x})) = sum a_k x^k, as a_k = -B_k / (k * k!).
+
+    Differentiating gives 1/x - 1/(e^x - 1) = -sum_k B_k x^(k-1) / k!.
+    """
+    b = bernoulli_numbers(kmax)
+    return tuple(-b[k] / (k * factorial(k)) for k in range(1, kmax + 1))
+
+
 def evaluate_monomial_name(name, values):
     """Value of a monomial written like "g1^2*g3" at {generator: value}."""
     product = Fraction(1)
@@ -171,7 +196,8 @@ def evaluate_monomial_name(name, values):
 
 # ---------------------------------------------------------------------------
 # package objects built the long way: Chern characters from Chern classes,
-# and alternating exterior algebras of line bundles
+# alternating exterior algebras of line bundles, and the square-zero curve
+# pushforward
 
 
 def ch_from_c(cs: Sequence[GradedPoly], kmax: int | None = None) -> list[GradedPoly]:
@@ -211,6 +237,61 @@ def wedge_total(power, m: int, rep: GaugeRep, base_parity: str, n: int = 2) -> F
         parity = base_parity if j % 2 == 0 else ("odd" if base_parity == "even" else "even")
         pieces.append((comb(m, j), Atom(Kpow(j * power), rep, parity)))
     return FieldContent(n, pieces)
+
+
+def pushforward_curve_square_zero(poly: GradedPoly, n: int, chi_hol) -> GradedPoly:
+    """Integrate a class on the (n+1)-dimensional total space over a curve fiber.
+
+    The square-zero construction: substitute g1 -> g1 + s with s a degree-2
+    symbol in an intermediate ring, replace g_k for k >= 2 by ch_k of the
+    rank-n base tangent bundle, expand, and return 2*chi_hol times the
+    s-linear part.  Every non-gravitational generator is kept in the target
+    ring, so a generator of degree above 2n+2 (s3 for n = 1) cannot be built.
+    """
+    src = poly.ctx
+    for name in src.names:
+        match = _GRAV_NAME.fullmatch(name)
+        if match and int(match.group(1)) > n + 1:
+            if any(e[src.index(name)] for e, _ in poly.terms()):
+                raise GeneratorMismatch(
+                    f"generator {name} exceeds the rank n+1 = {n + 1} total space"
+                )
+    _require_gravitational(src, n + 1)
+
+    target_names, target_degrees = [], []
+    for name, degree in zip(src.names, src.degrees):
+        match = _GRAV_NAME.fullmatch(name)
+        if match and int(match.group(1)) > n:
+            continue
+        target_names.append(name)
+        target_degrees.append(degree)
+    target = GeneratorSet(tuple(target_names), tuple(target_degrees), 2 * n + 2)
+    inter = GeneratorSet(
+        tuple(target_names) + ("s",), tuple(target_degrees) + (2,), 2 * n + 4
+    )
+
+    base_ch = tangent_ch(n, inter)
+    images: dict[str, GradedPoly] = {}
+    for name in src.names:
+        match = _GRAV_NAME.fullmatch(name)
+        if not match:
+            images[name] = GradedPoly.generator(inter, name)
+            continue
+        k = int(match.group(1))
+        if k == 1:
+            images[name] = GradedPoly.generator(inter, "g1") + GradedPoly.generator(inter, "s")
+        else:
+            images[name] = base_ch[k - 1]
+
+    expanded = poly.substitute(inter, images)
+    s_index = inter.index("s")
+    fiber_integral = 2 * Fraction(chi_hol)
+    collected = {}
+    for exponents, coeff in expanded.terms():
+        if exponents[s_index] != 1:
+            continue
+        collected[exponents[:-1]] = coeff * fiber_integral
+    return GradedPoly(target, collected)
 
 
 # ---------------------------------------------------------------------------

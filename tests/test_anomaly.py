@@ -43,7 +43,14 @@ from holanom.chern import (
 )
 from holanom.duality import SQCDSpec, seiberg_match
 from holanom.ring import GeneratorMismatch, GradedPoly
-from holanom.theory import Chiral, Theory, Vector, twist_content, with_unknown_r
+from holanom.theory import (
+    Chiral,
+    ConfigurationError,
+    Theory,
+    Vector,
+    twist_content,
+    with_unknown_r,
+)
 from holanom.univariate import evaluate
 
 from oracles import random_rational
@@ -423,9 +430,15 @@ def test_solve_r_unconstrained_without_gauge_matter():
     assert result.roots is None
 
 
-def test_solve_r_without_gauge_group_has_nothing_to_constrain():
-    theory = Theory(multiplets=(Chiral(F(-1, 3), trivial(1)),))
-    result = solve_r(theory)
+def test_solve_r_without_gauge_group_has_nothing_to_constrain(monkeypatch):
+    # unmarked: the same error as an unmarked gauge theory
+    with pytest.raises(ConfigurationError, match="no multiplet is marked"):
+        solve_r(Theory(multiplets=(Chiral(F(-1, 3), trivial(1)),)))
+    with pytest.raises(ConfigurationError, match="no multiplet is marked"):
+        solve_r(Theory(gauge=GaugeGroup(su=3), multiplets=(Vector(),)))
+    # marked: nothing to constrain, and no sample theory is run
+    monkeypatch.setattr(anomaly, "anomaly_polynomial", None)
+    result = solve_r(Theory(multiplets=(Chiral(F(-1, 3), trivial(1), unknown_r=True),)))
     assert result.polynomials == {}
     assert result.unconstrained
 

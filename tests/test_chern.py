@@ -12,6 +12,7 @@ from holanom.chern import (
     Atom,
     COTANGENT,
     FieldContent,
+    GaugeGroup,
     GaugeRep,
     Kpow,
     TANGENT,
@@ -31,9 +32,20 @@ from holanom.chern import (
     trivial,
     twist_context,
 )
-from holanom.ring import GeneratorMismatch, GradedPoly
+from holanom.anomaly import anomaly_polynomial, context_for_theory
+from holanom.ring import GeneratorMismatch, GeneratorSet, GradedPoly
+from holanom.theory import Chiral, Theory, Vector, twist_content
 
-from oracles import ch_from_c, ch_of_roots, elementary_symmetric, random_rational, wedge_total
+from oracles import (
+    ch_from_c,
+    ch_of_roots,
+    elementary_symmetric,
+    pushforward_curve_square_zero,
+    random_graded_poly,
+    random_rational,
+    todd_log_closed_form,
+    wedge_total,
+)
 
 CTX1 = gravitational_context(1)
 CTX2 = gravitational_context(2)
@@ -225,6 +237,11 @@ def test_todd_log_coefficients():
     assert coefficients == (F(1, 2), F(-1, 24), F(0), F(1, 2880))
 
 
+@pytest.mark.parametrize("kmax", range(1, MAX_DIMENSION + 2))
+def test_todd_log_coefficients_match_bernoulli_closed_form(kmax):
+    assert todd_log_coefficients(kmax) == todd_log_closed_form(kmax)
+
+
 def test_todd_dimension_one():
     g1 = gen(CTX1, "g1")
     assert todd(1, CTX1) == 1 + F(1, 2) * g1 + F(1, 12) * g1**2
@@ -386,3 +403,41 @@ def test_pushforward_two_to_one_matches_hand_expansion():
     # (g1 + s)^2 has s-coefficient 2 g1, and g2 -> g1^2/2 contributes nothing linear
     pushed = pushforward_curve(gen(CTX2, "g1") ** 2, 1, F(1, 2))
     assert pushed == 2 * gen(CTX1, "g1")
+
+
+# every twist context of the total space, except n = 1 with s3: the reference
+# keeps s3 (degree 6) in the cap-4 target ring, which cannot be built
+@pytest.mark.parametrize(
+    "n,simple,abelian",
+    [
+        (n, simple, abelian)
+        for n in range(1, 5)
+        for simple in (False, True)
+        for abelian in (False, True)
+        if not (n == 1 and simple)
+    ],
+)
+def test_pushforward_matches_square_zero_reference(n, simple, abelian):
+    rng = random.Random(1000 * n + 10 * simple + abelian)
+    ctx = twist_context(n + 1, simple, abelian)
+    for _ in range(15):
+        poly = random_graded_poly(rng, ctx, max_terms=6)
+        chi = random_rational(rng, 5, 3)
+        # GradedPoly equality compares the ring as well as the terms
+        assert pushforward_curve(poly, n, chi) == pushforward_curve_square_zero(poly, n, chi)
+
+
+def test_pushforward_of_su_anomaly_drops_s3():
+    theory = Theory(
+        gauge=GaugeGroup(su=3),
+        multiplets=(Vector(), Chiral(F(1, 3), fundamental(3), copies=4)),
+    )
+    poly = anomaly_polynomial(twist_content(theory), context_for_theory(theory))
+    assert poly.ctx.names == ("g1", "g2", "s2", "s3")
+    assert any(e[3] for e, _ in poly.terms())
+    no_s3 = GeneratorSet(("g1", "g2", "s2"), (2, 4, 4), 6)
+    stripped = GradedPoly(no_s3, {e[:3]: c for e, c in poly.terms() if not e[3]})
+    pushed = pushforward_curve(poly, 1, F(1))
+    assert pushed.ctx.names == ("g1", "s2")
+    assert pushed == pushforward_curve(stripped, 1, F(1))
+    assert pushed == pushforward_curve_square_zero(stripped, 1, F(1))

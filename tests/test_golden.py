@@ -50,6 +50,7 @@ CASES = [
     "solve-r every.th",
     "solve-r every.th --json",
     "solve-r n2.th",
+    "solve-r line.th",
     "compactify line.th --fiber-chi 1",
     "compactify line.th --fiber-chi=-3/2 --json",
     "compactify line.th --fiber-chi -3/2",

@@ -1,4 +1,4 @@
-"""Univariate helpers: interpolation, rational roots, formal series."""
+"""Univariate polynomials in r: interpolation, rational roots, rendering."""
 
 from __future__ import annotations
 
@@ -66,16 +66,3 @@ def test_format_poly():
     assert uni.format_poly((F(-3), F(-5))) == "-5*r - 3"
     assert uni.format_poly((F(1, 2), F(0), F(1))) == "r^2 + 1/2"
     assert uni.format_poly(()) == "0"
-
-
-def test_series_reciprocal():
-    # 1/(1 - x) = 1 + x + x^2 + ...
-    assert uni.series_reciprocal([F(1), F(-1)], 4) == [F(1)] * 5
-
-
-def test_series_log_of_exponential():
-    from math import factorial
-
-    exp_series = [F(1, factorial(k)) for k in range(7)]
-    log_series = uni.series_log(exp_series, 6)
-    assert log_series == [F(0), F(1), F(0), F(0), F(0), F(0), F(0)]
