@@ -4,7 +4,7 @@ Conventions used throughout:
 
  * gravitational generators g1..gn are the Chern-character components of
    the universal rank-n tangent bundle, with g_k in degree 2k; beyond the
-   rank, ch_k is determined by Newton's identities with c_j = 0 for j > n;
+   rank, ch_{n+1} is fixed by the rule c_{n+1} = 0;
  * the canonical bundle K has ch_1(K) = -g1, so ch(K^lam) = exp(-lam*g1);
    the trivial line TRIVIAL is Kpow(0), i.e. K^0;
  * s2 and s3 are ch_2 and ch_3 of the fundamental representation of the
@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Union
 
 from .ring import (
@@ -32,14 +32,15 @@ from .ring import (
     GeneratorSet,
     GradedPoly,
     RationalLike,
+    homogeneous_monomials,
 )
 
 GAUGE_GENERATOR_DEGREES = {"s2": 4, "s3": 6, "f1": 2}
 # Largest supported complex dimension; every context above it is refused,
-# so each input finishes in bounded time.  At high dimension the Todd class
-# dominates and its cost grows 1.5-1.8x every two dimensions; at this
-# ceiling one compute in the largest context (SU(N) plus the abelian
-# background) takes about 2 s on a 2-vCPU Xeon virtual machine.
+# so each input finishes in bounded time.  At this ceiling one compute takes
+# about 0.45 s on a gravitational atom and 0.8 s in the largest context
+# (SU(N) plus the abelian background), growing 1.4-1.8x every two dimensions
+# (median of 5 fresh processes on a 2-vCPU Xeon virtual machine).
 MAX_DIMENSION = 20
 _GRAV_NAME = re.compile(r"g(\d+)")
 
@@ -233,56 +234,65 @@ class FieldContent:
 
 
 # ---------------------------------------------------------------------------
-# Newton identities between Chern classes and Chern characters
+# closed forms, each an exp of a linear form (Macdonald, Symmetric Functions, I (2.14'))
 
 
-def _newton(n: int, ctx: GeneratorSet) -> tuple[list[GradedPoly], list[GradedPoly]]:
-    """Chern classes c_1..c_n and power sums p_1..p_{cap/2} of the rank-n bundle with ch_k = g_k.
+def _exp_linear(ctx: GeneratorSet, weights: dict, degrees=None) -> GradedPoly:
+    """exp(sum_x w_x * x) in the given degrees (all by default), written term by term.
 
-    Newton's identity p_k = c1*p_{k-1} - c2*p_{k-2} + ... + (-1)^(k-1)*k*c_k
-    (c_j = 0 for j > n) gives c_k for k <= n, where p_k = k! * g_k, and p_k
-    beyond; p_k vanishes above half the cap, so that is where the list ends.
+    The coefficient of prod_x x^m_x is prod_x w_x^m_x / m_x!, so no ring
+    product is formed; generators of zero weight are not enumerated.
     """
-    cs: list[GradedPoly] = []
-    p: list[GradedPoly] = [GradedPoly.zero(ctx)]
-    for k in range(1, ctx.cap // 2 + 1):
-        acc = GradedPoly.zero(ctx)
-        for i in range(1, min(k - 1, n) + 1):
-            acc = acc + Fraction((-1) ** (i - 1)) * cs[i - 1] * p[k - i]
-        if k <= n:
-            p.append(factorial(k) * GradedPoly.generator(ctx, f"g{k}"))
-            cs.append((p[k] - acc) * Fraction((-1) ** (k - 1), k))
-        else:
-            p.append(acc)
-    return cs, p[1:]
+    degree_of = {x: ctx.degrees[ctx.index(x)] for x in weights}
+    w = {x: Fraction(v) for x, v in weights.items() if v}
+    sub = GeneratorSet(tuple(w), tuple(degree_of[x] for x in w), ctx.cap)
+    return GradedPoly(ctx, (
+        (dict(zip(w, ms)), prod(w[x] ** m / factorial(m) for x, m in zip(w, ms)))
+        for degree in (range(0, ctx.cap + 1, 2) if degrees is None else degrees)
+        for ms in homogeneous_monomials(sub, degree)
+    ))
+
+
+def _require_gravitational(ctx: GeneratorSet, n: int, capped: bool = True):
+    """Refuse ctx unless it holds g1..gn and, if capped, has the cap 2n+2 the closed forms need."""
+    for k in range(1, n + 1):
+        if f"g{k}" not in ctx.names:
+            raise GeneratorMismatch(f"context lacks gravitational generator g{k}")
+    if capped and ctx.cap != 2 * n + 2:
+        raise GeneratorMismatch(f"rank-{n} classes need cap {2 * n + 2}, not {ctx.cap}")
+
+
+def _chern_exponent(n: int) -> dict:
+    """Weights of sum_k c_k = exp(sum_j (-1)^(j-1) p_j / j) with p_j = j! * g_j."""
+    return {f"g{j}": (-1) ** (j - 1) * factorial(j - 1) for j in range(1, n + 1)}
 
 
 def c_from_ch(n: int, ctx: GeneratorSet) -> list[GradedPoly]:
     """Chern classes c_1..c_n of the rank-n bundle with ch_k = g_k."""
-    return _newton(n, ctx)[0]
+    _require_gravitational(ctx, n)
+    return [_exp_linear(ctx, _chern_exponent(n), (2 * k,)) for k in range(1, n + 1)]
 
 
 def tangent_ch(n: int, ctx: GeneratorSet) -> list[GradedPoly]:
-    """Chern characters ch_1..ch_{cap/2} of the rank-n tangent bundle."""
-    return [p * Fraction(1, factorial(k)) for k, p in enumerate(_newton(n, ctx)[1], start=1)]
+    """Chern characters g_1..g_n, ch_{n+1} of the rank-n tangent bundle.
+
+    c_{n+1} = 0 sets the degree-(2n+2) part E of exp(sum_{j<=n} (-1)^(j-1) p_j / j)
+    against the missing term (-1)^n p_{n+1} / (n+1), so ch_{n+1} = (-1)^(n+1) E / n!.
+    """
+    _require_gravitational(ctx, n)
+    top = _exp_linear(ctx, _chern_exponent(n), (2 * n + 2,))
+    top = top * Fraction((-1) ** (n + 1), factorial(n))
+    return [GradedPoly.generator(ctx, f"g{k}") for k in range(1, n + 1)] + [top]
 
 
 # ---------------------------------------------------------------------------
 # Chern characters of atoms and the Todd class
 
 
-def _require_gravitational(ctx: GeneratorSet, n: int):
-    for k in range(1, n + 1):
-        if f"g{k}" not in ctx.names:
-            raise GeneratorMismatch(f"context lacks gravitational generator g{k}")
-
-
 def ch_geom(geom: Geom, n: int, ctx: GeneratorSet) -> GradedPoly:
     """Truncated Chern character of a geometric factor in dimension n."""
     if isinstance(geom, Kpow):
-        _require_gravitational(ctx, 1)
-        return (GradedPoly.generator(ctx, "g1") * (-geom.power)).exp()
-    _require_gravitational(ctx, n)
+        return _exp_linear(ctx, {"g1": -geom.power})
     # dualizing negates the odd power sums
     sign = -1 if isinstance(geom, _Cotangent) else 1
     return n + sum(sign**k * ch_k for k, ch_k in enumerate(tangent_ch(n, ctx), start=1))
@@ -294,21 +304,12 @@ def ch_rep(rep: GaugeRep, ctx: GeneratorSet) -> GradedPoly:
     A gauge generator missing from the context is an error unless its
     degree already exceeds the cap, in which case its term is zero anyway.
     """
-    body = GradedPoly.constant(ctx, rep.dim)
-    for name, coeff in (("s2", rep.t2), ("s3", rep.t3)):
-        if coeff == 0:
-            continue
-        if name in ctx.names:
-            body = body + coeff * GradedPoly.generator(ctx, name)
-        elif GAUGE_GENERATOR_DEGREES[name] > ctx.cap:
-            continue
-        else:
-            raise GeneratorMismatch(f"representation needs generator {name!r} not in context")
-    if rep.q != 0:
-        if "f1" not in ctx.names:
-            raise GeneratorMismatch("charged representation needs generator 'f1' in context")
-        body = (GradedPoly.generator(ctx, "f1") * rep.q).exp() * body
-    return body
+    body = GradedPoly(ctx, [({}, rep.dim)] + [
+        ({name: 1}, coeff)
+        for name, coeff in (("s2", rep.t2), ("s3", rep.t3))
+        if coeff and GAUGE_GENERATOR_DEGREES[name] <= ctx.cap
+    ])
+    return _exp_linear(ctx, {"f1": rep.q}) * body if rep.q else body
 
 
 def ch_atom(atom: Atom, n: int, ctx: GeneratorSet) -> GradedPoly:
@@ -341,16 +342,15 @@ def todd_log_coefficients(kmax: int) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=4 * MAX_DIMENSION)
 def todd(n: int, ctx: GeneratorSet) -> GradedPoly:
-    """Todd class of the rank-n tangent bundle, truncated at the context cap.
+    """Todd class exp(sum_k a_k p_k) of the rank-n tangent bundle; exp(p_{n+1}) = 1 + p_{n+1}.
 
     Memoized per (n, ctx): both arguments are immutable and hashable, and
     the result is immutable, so every caller can share one copy.  The cache
     holds the four twist contexts of every supported dimension.
     """
-    _require_gravitational(ctx, n)
-    power_sums = _newton(n, ctx)[1]
-    coefficients = todd_log_coefficients(len(power_sums))
-    return sum(a_k * p_k for a_k, p_k in zip(coefficients, power_sums)).exp()
+    a = todd_log_coefficients(n + 1)
+    top = tangent_ch(n, ctx)[n] * (a[n] * factorial(n + 1))
+    return _exp_linear(ctx, {f"g{k}": a[k - 1] * factorial(k) for k in range(1, n + 1)}) + top
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +377,7 @@ def pushforward_curve(poly: GradedPoly, n: int, chi_hol: RationalLike) -> Graded
         if rank <= n and degree <= cap:
             names.append(name)
             degrees.append(degree)
-    _require_gravitational(src, n + 1)
+    _require_gravitational(src, n + 1, capped=False)
     target = GeneratorSet(tuple(names), tuple(degrees), cap)
     # a generator the base ring drops vanishes there
     images = {name: GradedPoly.zero(target) for name in src.names}

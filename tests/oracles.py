@@ -4,8 +4,9 @@ These re-implement truncated polynomial arithmetic in the most naive way
 possible (dense dicts keyed by exponent tuples, no code shared with the
 package) so that expected values are pinned by something that cannot share
 a bug with the implementation under test.  The few helpers that build
-package objects (ch_from_c, wedge_total, pushforward_curve_square_zero) do
-so the long way, by formulas the package itself no longer uses.
+package objects (_newton, ch_from_c, wedge_total,
+pushforward_curve_square_zero) do so the long way, by formulas the package
+itself no longer uses.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from holanom.chern import (
     GaugeRep,
     Kpow,
     _require_gravitational,
-    tangent_ch,
 )
 from holanom.ring import GeneratorMismatch, GeneratorSet, GradedPoly
 
@@ -195,9 +195,30 @@ def evaluate_monomial_name(name, values):
 
 
 # ---------------------------------------------------------------------------
-# package objects built the long way: Chern characters from Chern classes,
-# alternating exterior algebras of line bundles, and the square-zero curve
-# pushforward
+# package objects built the long way: Chern classes and power sums by Newton's
+# identities, Chern characters from Chern classes, alternating exterior
+# algebras of line bundles, and the square-zero curve pushforward
+
+
+def _newton(n: int, ctx: GeneratorSet) -> tuple[list[GradedPoly], list[GradedPoly]]:
+    """Chern classes c_1..c_n and power sums p_1..p_{cap/2} of the rank-n bundle with ch_k = g_k.
+
+    Newton's identity p_k = c1*p_{k-1} - c2*p_{k-2} + ... + (-1)^(k-1)*k*c_k
+    (c_j = 0 for j > n) gives c_k for k <= n, where p_k = k! * g_k, and p_k
+    beyond; p_k vanishes above half the cap, so that is where the list ends.
+    """
+    cs: list[GradedPoly] = []
+    p: list[GradedPoly] = [GradedPoly.zero(ctx)]
+    for k in range(1, ctx.cap // 2 + 1):
+        acc = GradedPoly.zero(ctx)
+        for i in range(1, min(k - 1, n) + 1):
+            acc = acc + Fraction((-1) ** (i - 1)) * cs[i - 1] * p[k - i]
+        if k <= n:
+            p.append(factorial(k) * GradedPoly.generator(ctx, f"g{k}"))
+            cs.append((p[k] - acc) * Fraction((-1) ** (k - 1), k))
+        else:
+            p.append(acc)
+    return cs, p[1:]
 
 
 def ch_from_c(cs: Sequence[GradedPoly], kmax: int | None = None) -> list[GradedPoly]:
@@ -256,7 +277,7 @@ def pushforward_curve_square_zero(poly: GradedPoly, n: int, chi_hol) -> GradedPo
                 raise GeneratorMismatch(
                     f"generator {name} exceeds the rank n+1 = {n + 1} total space"
                 )
-    _require_gravitational(src, n + 1)
+    _require_gravitational(src, n + 1, capped=False)
 
     target_names, target_degrees = [], []
     for name, degree in zip(src.names, src.degrees):
@@ -270,7 +291,7 @@ def pushforward_curve_square_zero(poly: GradedPoly, n: int, chi_hol) -> GradedPo
         tuple(target_names) + ("s",), tuple(target_degrees) + (2,), 2 * n + 4
     )
 
-    base_ch = tangent_ch(n, inter)
+    base_ch = [p * Fraction(1, factorial(k)) for k, p in enumerate(_newton(n, inter)[1], start=1)]
     images: dict[str, GradedPoly] = {}
     for name in src.names:
         match = _GRAV_NAME.fullmatch(name)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -27,6 +28,7 @@ from holanom.chern import (
     fundamental,
     gravitational_context,
     pushforward_curve,
+    tangent_ch,
     todd,
     todd_log_coefficients,
     trivial,
@@ -37,6 +39,7 @@ from holanom.ring import GeneratorMismatch, GeneratorSet, GradedPoly
 from holanom.theory import Chiral, Theory, Vector, twist_content
 
 from oracles import (
+    _newton,
     ch_from_c,
     ch_of_roots,
     elementary_symmetric,
@@ -335,6 +338,39 @@ def check_newton_against_roots(cases: int, seed: int = 47):
 
 def test_newton_against_roots():
     check_newton_against_roots(300)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_closed_forms_match_newton(n):
+    a = todd_log_closed_form(n + 1)
+    for simple in (False, True):
+        for abelian in (False, True):
+            ctx = twist_context(n, simple, abelian)
+            cs, power_sums = _newton(n, ctx)
+            assert c_from_ch(n, ctx) == cs
+            assert tangent_ch(n, ctx) == [
+                p * F(1, factorial(k)) for k, p in enumerate(power_sums, start=1)
+            ]
+            assert todd.__wrapped__(n, ctx) == sum(x * p for x, p in zip(a, power_sums)).exp()
+            for lam in (F(0), F(1, 3), F(-7, 5)):
+                assert ch_geom(Kpow(lam), n, ctx) == (gen(ctx, "g1") * -lam).exp()
+            if abelian:
+                rep = GaugeRep(3, F(1), F(-1), F(2, 3)) if simple else trivial(2, F(-5, 4))
+                body = rep.dim + sum(
+                    c * gen(ctx, name)
+                    for c, name in ((rep.t2, "s2"), (rep.t3, "s3"))
+                    if name in ctx.names
+                )
+                assert ch_rep(rep, ctx) == (gen(ctx, "f1") * rep.q).exp() * body
+
+
+def test_closed_forms_refuse_other_caps():
+    # c_{n+1} = 0 and the linear exp(p_{n+1}) hold only at the rank-n cap 2n+2
+    g1g2 = (("g1", "g2"), (2, 4))
+    for n, ctx in ((1, CTX2), (2, GeneratorSet(*g1g2, 8)), (2, GeneratorSet(*g1g2, 4))):
+        for build in (c_from_ch, tangent_ch, todd):
+            with pytest.raises(GeneratorMismatch, match="need cap"):
+                build(n, ctx)
 
 
 # ---------------------------------------------------------------------------
