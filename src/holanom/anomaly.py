@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Union
 
 from . import univariate
@@ -266,8 +267,8 @@ def solve_r(theory: Theory, target: str = "all-mixed") -> SolveResult:
     Coefficients are exact cubics in r, read off one interpolate_in_r call
     whose evaluator classifies the anomaly once per sample theory, so a
     solve costs five pipeline runs whatever the number of targets.  The
-    rational root theorem then finds every rational solution; irrational
-    roots are deliberately not approximated and simply do not appear.
+    exact rational roots of the constraints' one polynomial gcd solve them
+    all; irrational roots are deliberately not approximated and do not appear.
     """
     ctx = context_for_theory(theory)
     buckets = monomial_buckets(ctx, theory.dimension)
@@ -293,10 +294,8 @@ def solve_r(theory: Theory, target: str = "all-mixed") -> SolveResult:
     constraints = [c for c in polynomials.values() if c]
     if not constraints:
         return SolveResult(target, polynomials, None, True)
-    roots = set(univariate.rational_roots(constraints[0]))
-    for coeffs in constraints[1:]:
-        roots &= set(univariate.rational_roots(coeffs))
-    return SolveResult(target, polynomials, sorted(roots), False)
+    common = reduce(univariate.gcd, constraints)
+    return SolveResult(target, polynomials, univariate.rational_roots(common), False)
 
 
 # ---------------------------------------------------------------------------

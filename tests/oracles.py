@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import mul
 from typing import Sequence
 
@@ -313,6 +313,55 @@ def pushforward_curve_square_zero(poly: GradedPoly, n: int, chi_hol) -> GradedPo
             continue
         collected[exponents[:-1]] = coeff * fiber_integral
     return GradedPoly(target, collected)
+
+
+# ---------------------------------------------------------------------------
+# rational roots by the rational root theorem (trial-division divisors)
+
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            out.add(n // d)
+        d += 1
+    return sorted(out)
+
+
+def _horner(coeffs, x):
+    total = Fraction(0)
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
+
+
+def rational_roots_by_divisors(coeffs) -> list[Fraction]:
+    """Every rational root of a non-zero ascending coefficient list, sorted.
+
+    Tries every p/q with p | a_0 and q | a_d on the integer form; the cost
+    grows with the square root of those coefficients, so keep them small.
+    """
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        raise ValueError("the zero polynomial has every rational as a root")
+    roots: set[Fraction] = set()
+    while coeffs and coeffs[0] == 0:
+        roots.add(Fraction(0))
+        coeffs = coeffs[1:]
+    if len(coeffs) >= 2:
+        denominator_lcm = lcm(*[c.denominator for c in coeffs])
+        ints = [int(c * denominator_lcm) for c in coeffs]
+        for p in _divisors(ints[0]):
+            for q in _divisors(ints[-1]):
+                for candidate in (Fraction(p, q), Fraction(-p, q)):
+                    if _horner(coeffs, candidate) == 0:
+                        roots.add(candidate)
+    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------

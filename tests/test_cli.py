@@ -233,6 +233,30 @@ def test_compute_gauge_anomalous_file_keeps_stderr_empty(tmp_path):
     assert done.stderr == ""
 
 
+@pytest.mark.parametrize(
+    "argv,roots",
+    [
+        (["solve-r", "big_copies.th"], "-6/100000000000000003"),
+        (["solve-r", "big_charge.th", "--target", "g1^2*f1"], "none"),
+    ],
+)
+def test_solve_r_with_17_digit_coefficients_finishes(argv, roots):
+    # a fresh interpreter under a timeout, so a root finder whose cost grows
+    # with the size of the coefficients fails here instead of hanging
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "holanom.cli", *argv],
+        capture_output=True,
+        text=True,
+        cwd=root / "tests" / "golden",
+        env=os.environ | {"PYTHONPATH": str(root / "src")},
+        timeout=10,
+    )
+    assert done.returncode == 0
+    assert done.stdout.endswith(f"roots = {roots}\n")
+    assert done.stderr == ""
+
+
 @pytest.mark.parametrize("n,parity,copies", [(3, "even", 1), (4, "odd", 2), (5, "even", 3)])
 def test_compute_grav_keys_match_chern_root_oracle(tmp_path, capsys, n, parity, copies):
     rng = random.Random(n)

@@ -69,6 +69,14 @@ CASES = [
             "missing",
         )
     ),
+    "solve-r big_copies.th",
+    "solve-r big_charge.th --target g1^2*f1",
+    "compute copies_zero.th",
+    "compute dimension_zero.th",
+    "compute charge_zero_denominator.th",
+    "solve-r unknown_r_zero.th",
+    "compute huge_gauge.th",
+    "solve-r long_charge.th",
 ]
 
 
