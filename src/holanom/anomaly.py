@@ -168,6 +168,12 @@ def monomial_buckets(ctx: GeneratorSet, n: int) -> dict[str, list[str]]:
     return buckets
 
 
+def theory_report(theory: Theory) -> AnomalyReport:
+    """The classified anomaly of a theory, in the twist context of its gauge data."""
+    content, ctx = twist_content(theory), context_for_theory(theory)
+    return classify(anomaly_polynomial(content, ctx), theory.dimension)
+
+
 # ---------------------------------------------------------------------------
 # conversions between holomorphic and physical coefficients
 
@@ -270,8 +276,7 @@ def solve_r(theory: Theory, target: str = "all-mixed") -> SolveResult:
     exact rational roots of the constraints' one polynomial gcd solve them
     all; irrational roots are deliberately not approximated and do not appear.
     """
-    ctx = context_for_theory(theory)
-    buckets = monomial_buckets(ctx, theory.dimension)
+    buckets = monomial_buckets(context_for_theory(theory), theory.dimension)
     if target == "all-mixed":
         names = buckets["mixed"]
     else:
@@ -284,7 +289,7 @@ def solve_r(theory: Theory, target: str = "all-mixed") -> SolveResult:
         names = [target]
 
     def coefficients_at(instance: Theory) -> dict[str, Fraction]:
-        report = classify(anomaly_polynomial(twist_content(instance), ctx), theory.dimension)
+        report = theory_report(instance)
         found = {**report.pure_gauge, **report.mixed}
         return {name: found.get(name, Fraction(0)) for name in names}
 

@@ -20,7 +20,6 @@ out of scope.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -42,7 +41,6 @@ GAUGE_GENERATOR_DEGREES = {"s2": 4, "s3": 6, "f1": 2}
 # (SU(N) plus the abelian background), growing 1.4-1.8x every two dimensions
 # (median of 5 fresh processes on a 2-vCPU Xeon virtual machine).
 MAX_DIMENSION = 20
-_GRAV_NAME = re.compile(r"g(\d+)")
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +251,12 @@ def _exp_linear(ctx: GeneratorSet, weights: dict, degrees=None) -> GradedPoly:
     ))
 
 
-def _require_gravitational(ctx: GeneratorSet, n: int, capped: bool = True):
-    """Refuse ctx unless it holds g1..gn and, if capped, has the cap 2n+2 the closed forms need."""
+def _require_gravitational(ctx: GeneratorSet, n: int):
+    """Refuse ctx unless it holds g1..gn and has the cap 2n+2 the closed forms need."""
     for k in range(1, n + 1):
         if f"g{k}" not in ctx.names:
             raise GeneratorMismatch(f"context lacks gravitational generator g{k}")
-    if capped and ctx.cap != 2 * n + 2:
+    if ctx.cap != 2 * n + 2:
         raise GeneratorMismatch(f"rank-{n} classes need cap {2 * n + 2}, not {ctx.cap}")
 
 
@@ -364,21 +362,18 @@ def pushforward_curve(poly: GradedPoly, n: int, chi_hol: RationalLike) -> Graded
     squares to zero on the curve and integrates to 2*chi_hol.  Since t^2 = 0
     the line changes only ch_1, g1 -> g1 + t, so the pushforward is
     2*chi_hol * dpoly/dg1 over the base: g_{n+1} becomes ch_{n+1} of the
-    rank-n base tangent bundle, and the gauge generators of degree <= 2n+2
-    pass through unchanged (the higher ones vanish on the base).
+    rank-n base tangent bundle.  The source ring holds g1..g_{n+1} at cap
+    2n+4 and only generators of twist_context(n+1, simple, abelian), or
+    GeneratorMismatch is raised; the base ring is twist_context(n, simple,
+    abelian), where the gauge generators above degree 2n+2 vanish.
     """
-    src, cap = poly.ctx, 2 * n + 2
-    names, degrees = [], []
-    for i, (name, degree) in enumerate(zip(src.names, src.degrees)):
-        match = _GRAV_NAME.fullmatch(name)
-        rank = int(match.group(1)) if match else 0
-        if rank > n + 1 and any(e[i] for e, _ in poly.terms()):
-            raise GeneratorMismatch(f"generator {name} exceeds the rank n+1 = {n + 1} total space")
-        if rank <= n and degree <= cap:
-            names.append(name)
-            degrees.append(degree)
-    _require_gravitational(src, n + 1, capped=False)
-    target = GeneratorSet(tuple(names), tuple(degrees), cap)
+    src = poly.ctx
+    _require_gravitational(src, n + 1)
+    simple, abelian = not {"s2", "s3"}.isdisjoint(src.names), "f1" in src.names
+    total = twist_context(n + 1, simple, abelian)
+    if not set(zip(src.names, src.degrees)) <= set(zip(total.names, total.degrees)):
+        raise GeneratorMismatch(f"{src.names} is not a rank-{n + 1} twist ring")
+    target = twist_context(n, simple, abelian)
     # a generator the base ring drops vanishes there
     images = {name: GradedPoly.zero(target) for name in src.names}
     for name in target.names:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -20,19 +21,18 @@ from . import univariate
 from .anomaly import (
     GAUGE_GENERATORS,
     AnomalyReport,
-    anomaly_polynomial,
     classify,
-    context_for_theory,
     gauge_obstruction,
     monomial_buckets,
     multiplet_table,
     physical_ac,
     solve_r,
     t_background_obstruction,
+    theory_report,
 )
 from .chern import pushforward_curve
 from .duality import SQCDSpec, electric_report, quark_charge, seiberg_match
-from .ring import GeneratorSet, format_rational, parse_rational
+from .ring import format_rational, parse_rational
 from .theory import ConfigurationError, ConsistencyError, Theory, twist_content
 from .theoryfile import TheoryParseError, parse_theory_file
 
@@ -67,23 +67,30 @@ def render_records(records: list[Record], as_json: bool) -> str:
     return "\n".join(f"{key} = {_render_value(value)}" for key, value in records)
 
 
-def _report_records(ctx: GeneratorSet, report: AnomalyReport) -> list[Record]:
+def _central_charges(a_hol, c_hol) -> list[Record]:
+    a, c = physical_ac(a_hol, c_hol)
+    return [("a_hol", a_hol), ("c_hol", c_hol), ("a", a), ("c", c)]
+
+
+def _obstruction_flags(report: AnomalyReport) -> list[Record]:
+    return [
+        ("gauge_free", gauge_obstruction(report)[1]),
+        ("t_free", t_background_obstruction(report)[1]),
+    ]
+
+
+def _report_records(report: AnomalyReport) -> list[Record]:
     """Central charges, then every monomial of the listed buckets (zeros
     included), then the two obstruction flags.
 
     The gravitational bucket is listed from dimension 3 on, where no
-    central charge summarizes it; the gauge buckets only when the context
-    has gauge generators, since otherwise they are empty.
+    central charge summarizes it; the gauge buckets only when the report's
+    ring has gauge generators, since otherwise they are empty.
     """
+    ctx = report.full.ctx
     records: list[Record] = []
     if report.n == 2:
-        a, c = physical_ac(report.a_hol, report.c_hol)
-        records += [
-            ("a_hol", report.a_hol),
-            ("c_hol", report.c_hol),
-            ("a", a),
-            ("c", c),
-        ]
+        records += _central_charges(report.a_hol, report.c_hol)
     elif report.n == 1:
         records.append(("virasoro_c", report.virasoro_c))
     listed = ["gravitational"] if report.n >= 3 else []
@@ -97,10 +104,7 @@ def _report_records(ctx: GeneratorSet, report: AnomalyReport) -> list[Record]:
                 (f"{_BUCKET_PREFIXES[bucket]}.{name}", values.get(name, Fraction(0)))
                 for name in names[bucket]
             ]
-    _, gauge_free = gauge_obstruction(report)
-    _, t_free = t_background_obstruction(report)
-    records += [("gauge_free", gauge_free), ("t_free", t_free)]
-    return records
+    return records + _obstruction_flags(report)
 
 
 def _load_theory(path: str) -> Theory:
@@ -108,10 +112,7 @@ def _load_theory(path: str) -> Theory:
 
 
 def _cmd_compute(args) -> list[Record]:
-    theory = _load_theory(args.file)
-    ctx = context_for_theory(theory)
-    report = classify(anomaly_polynomial(twist_content(theory), ctx), theory.dimension)
-    return _report_records(ctx, report)
+    return _report_records(theory_report(_load_theory(args.file)))
 
 
 def _cmd_table(args) -> list[Record]:
@@ -129,35 +130,24 @@ def _cmd_table(args) -> list[Record]:
 def _cmd_qcd(args) -> list[Record]:
     spec = SQCDSpec(args.colors, args.flavors)
     report = electric_report(spec)
-    a, c = physical_ac(report.a_hol, report.c_hol)
-    _, gauge_free = gauge_obstruction(report)
-    _, t_free = t_background_obstruction(report)
     return [
         ("colors", args.colors),
         ("flavors", args.flavors),
         ("r", quark_charge(spec)),
-        ("a_hol", report.a_hol),
-        ("c_hol", report.c_hol),
-        ("a", a),
-        ("c", c),
-        ("gauge_free", gauge_free),
-        ("t_free", t_free),
+        *_central_charges(report.a_hol, report.c_hol),
+        *_obstruction_flags(report),
     ]
 
 
 def _cmd_seiberg(args) -> list[Record]:
     spec = SQCDSpec(args.colors, args.flavors)
     result = seiberg_match(spec)
-    a, c = physical_ac(result.a_hol, result.c_hol)
     return [
         ("colors", args.colors),
         ("flavors", args.flavors),
         ("r_M", result.r_meson),
         ("matched", result.matched),
-        ("a_hol", result.a_hol),
-        ("c_hol", result.c_hol),
-        ("a", a),
-        ("c", c),
+        *_central_charges(result.a_hol, result.c_hol),
     ]
 
 
@@ -167,13 +157,9 @@ def _cmd_solve_r(args) -> list[Record]:
     records: list[Record] = [("target", result.target)]
     for name, coeffs in result.polynomials.items():
         records.append((f"poly.{name}", univariate.format_poly(coeffs)))
-    if result.unconstrained:
-        records.append(("unconstrained", True))
-    else:
-        records.append(("unconstrained", False))
-        records.append(
-            ("roots", ", ".join(format_rational(r) for r in result.roots) or "none")
-        )
+    records.append(("unconstrained", result.unconstrained))
+    if not result.unconstrained:
+        records.append(("roots", ", ".join(format_rational(r) for r in result.roots) or "none"))
     return records
 
 
@@ -181,12 +167,10 @@ def _cmd_compactify(args) -> list[Record]:
     theory = _load_theory(args.file)
     if theory.dimension != 2:
         raise ConfigurationError("compactify expects a dimension-2 theory file")
-    content = twist_content(theory)
-    if any(not atom.rep.is_gauge_trivial for _, atom in content.pieces):
+    if any(not atom.rep.is_gauge_trivial for _, atom in twist_content(theory).pieces):
         raise ConfigurationError("compactify expects gravitational-only content")
-    poly = anomaly_polynomial(content, context_for_theory(theory))
-    pushed = pushforward_curve(poly, 1, args.fiber_chi)
-    return [("fiber_chi", args.fiber_chi)] + _report_records(pushed.ctx, classify(pushed, 1))
+    pushed = pushforward_curve(theory_report(theory).full, 1, args.fiber_chi)
+    return [("fiber_chi", args.fiber_chi)] + _report_records(classify(pushed, 1))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,29 +182,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     compute = sub.add_parser("compute", help="anomaly report for a theory file")
     compute.add_argument("file")
-    compute.add_argument("--json", action="store_true")
     compute.set_defaults(handler=_cmd_compute)
 
     table = sub.add_parser("table", help="a, c, a_hol, c_hol of the basic multiplets")
-    table.add_argument("--json", action="store_true")
     table.set_defaults(handler=_cmd_table)
 
     qcd = sub.add_parser("qcd", help="electric SQCD at the anomaly-free R-charge")
     qcd.add_argument("--colors", type=int, required=True)
     qcd.add_argument("--flavors", type=int, required=True)
-    qcd.add_argument("--json", action="store_true")
     qcd.set_defaults(handler=_cmd_qcd)
 
     seiberg = sub.add_parser("seiberg", help="match electric and magnetic anomalies")
     seiberg.add_argument("--colors", type=int, required=True)
     seiberg.add_argument("--flavors", type=int, required=True)
-    seiberg.add_argument("--json", action="store_true")
     seiberg.set_defaults(handler=_cmd_seiberg)
 
     solve = sub.add_parser("solve-r", help="solve for anomaly-free R-charges")
     solve.add_argument("file")
     solve.add_argument("--target", default="all-mixed")
-    solve.add_argument("--json", action="store_true")
     solve.set_defaults(handler=_cmd_solve_r)
 
     compactify = sub.add_parser(
@@ -230,9 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     compactify._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     compactify.add_argument("file")
     compactify.add_argument("--fiber-chi", type=_rational_argument, required=True)
-    compactify.add_argument("--json", action="store_true")
     compactify.set_defaults(handler=_cmd_compactify)
 
+    for command in sub.choices.values():
+        command.add_argument("--json", action="store_true")
     return parser
 
 
@@ -247,18 +227,22 @@ def run(argv=None) -> int:
     except TheoryParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, ConfigurationError, ConsistencyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigurationError, ConsistencyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(render_records(records, getattr(args, "json", False)))
+    print(render_records(records, args.json))
     return 0
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; send the unwritten rest to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import univariate
-from .anomaly import AnomalyReport, anomaly_polynomial, classify, context_for_theory
+from .anomaly import AnomalyReport, theory_report
 from .chern import GaugeGroup, antifundamental, fundamental, trivial
 from .theory import (
     Chiral,
@@ -23,7 +23,6 @@ from .theory import (
     Theory,
     Vector,
     interpolate_in_r,
-    twist_content,
 )
 from .ring import RationalLike
 
@@ -61,17 +60,13 @@ def electric_theory(spec: SQCDSpec) -> Theory:
     )
 
 
-def _report(theory: Theory) -> AnomalyReport:
-    return classify(anomaly_polynomial(twist_content(theory), context_for_theory(theory)), 2)
-
-
 def electric_report(spec: SQCDSpec) -> AnomalyReport:
     """Anomaly report of electric SQCD, its (a_hol, c_hol) checked against the closed forms.
 
     a_hol = -(N_c^2 + 1)/24 independently of N_f;
     c_hol = (2 N_c^4 - N_c^2 N_f^2 + N_f^2) / (48 N_f^2).
     """
-    report = _report(electric_theory(spec))
+    report = theory_report(electric_theory(spec))
     nc, nf = spec.colors, spec.flavors
     expected_a = Fraction(-(nc**2 + 1), 24)
     expected_c = Fraction(2 * nc**4 - nc**2 * nf**2 + nf**2, 48 * nf**2)
@@ -115,7 +110,7 @@ def magnetic_theory(spec: SQCDSpec, r_meson: RationalLike, meson_unknown: bool =
 
 
 def magnetic_anomalies(spec: SQCDSpec, r_meson: RationalLike) -> tuple[Fraction, Fraction]:
-    report = _report(magnetic_theory(spec, r_meson))
+    report = theory_report(magnetic_theory(spec, r_meson))
     return report.a_hol, report.c_hol
 
 
@@ -137,7 +132,7 @@ def seiberg_match(spec: SQCDSpec) -> MatchResult:
     """
     a_electric, c_electric = electric_anomalies(spec)
     template = magnetic_theory(spec, 0, meson_unknown=True)
-    a_coeffs = interpolate_in_r(template, lambda theory: {"a_hol": _report(theory).a_hol})
+    a_coeffs = interpolate_in_r(template, lambda theory: {"a_hol": theory_report(theory).a_hol})
     difference = univariate.add(a_coeffs["a_hol"], (-a_electric,))
     if univariate.degree(difference) != 1:
         raise ConsistencyError(

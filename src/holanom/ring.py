@@ -17,7 +17,8 @@ Coefficients are ``fractions.Fraction``, so arithmetic is exact, never
 overflows, and results are always in lowest terms with positive
 denominator.  All generators have even degree, so the ring is honestly
 commutative and no Koszul signs arise.  Values are immutable after
-construction; every operation returns a new polynomial.
+construction; every operation returns a new polynomial.  render_sum writes
+the text form of str(GradedPoly) and of univariate.format_poly.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from math import factorial
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -57,6 +60,21 @@ def parse_rational(token: str) -> Fraction:
 def format_rational(value: RationalLike) -> str:
     """Render a rational as "p/q", or "p" when the denominator is 1."""
     return str(Fraction(value))
+
+
+def render_sum(terms: Iterable[tuple[RationalLike, str]]) -> str:
+    """Render (coefficient, monomial) pairs in order, e.g. "-x - 1/2*y + 3": zero terms
+    are skipped, the monomial "1" prints as its bare coefficient, a coefficient of
+    absolute value 1 is left out, and the empty sum is "0"."""
+    rendered = ""
+    for coeff, name in terms:
+        if not coeff:
+            continue
+        size = format_rational(abs(coeff))
+        body = size if name == "1" else name if abs(coeff) == 1 else f"{size}*{name}"
+        sign = "-" if coeff < 0 else "+"
+        rendered = f"{rendered} {sign} {body}" if rendered else body if coeff > 0 else f"-{body}"
+    return rendered or "0"
 
 
 @dataclass(frozen=True)
@@ -338,38 +356,27 @@ class GradedPoly:
 
     # -- series ------------------------------------------------------------
 
-    def exp(self) -> "GradedPoly":
-        """Exponential sum_k p^k / k!; requires zero constant term.
-
-        The sum terminates because any polynomial with zero constant term
-        is nilpotent in the truncated ring.
-        """
-        if self.constant_term != 0:
-            raise SeriesDomainError("exp requires a zero constant term")
-        total = GradedPoly.constant(self.ctx, 1)
-        power = total
-        k = 0
-        while True:
-            k += 1
-            power = power * self * Fraction(1, k)
+    def _series(self, total: "GradedPoly", coefficient) -> "GradedPoly":
+        """total + sum_{k >= 1} coefficient(k) * self^k, up to the first vanishing power;
+        one exists when self has zero constant term, since it is then nilpotent."""
+        power = GradedPoly.constant(self.ctx, 1)
+        for k in count(1):
+            power = power * self
             if power.is_zero():
                 return total
-            total = total + power
+            total = total + power * coefficient(k)
+
+    def exp(self) -> "GradedPoly":
+        """Exponential sum_k p^k / k!; requires zero constant term."""
+        if self.constant_term != 0:
+            raise SeriesDomainError("exp requires a zero constant term")
+        return self._series(GradedPoly.constant(self.ctx, 1), lambda k: Fraction(1, factorial(k)))
 
     def log(self) -> "GradedPoly":
         """Logarithm sum_k (-1)^(k-1) (p-1)^k / k; requires constant term 1."""
         if self.constant_term != 1:
             raise SeriesDomainError("log requires constant term 1")
-        shifted = self - 1
-        total = GradedPoly.zero(self.ctx)
-        power = GradedPoly.constant(self.ctx, 1)
-        k = 0
-        while True:
-            k += 1
-            power = power * shifted
-            if power.is_zero():
-                return total
-            total = total + power * Fraction((-1) ** (k - 1), k)
+        return (self - 1)._series(GradedPoly.zero(self.ctx), lambda k: Fraction((-1) ** (k - 1), k))
 
     # -- structural maps ---------------------------------------------------
 
@@ -413,24 +420,7 @@ class GradedPoly:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         ordered = sorted(self._terms.items(), key=lambda item: (self.ctx.degree(item[0]), item[0]))
-        parts = []
-        for exponents, coeff in ordered:
-            name = self.ctx.monomial_name(exponents)
-            if name == "1":
-                text = format_rational(coeff)
-            elif coeff == 1:
-                text = name
-            elif coeff == -1:
-                text = f"-{name}"
-            else:
-                text = f"{format_rational(coeff)}*{name}"
-            parts.append(text)
-        rendered = parts[0]
-        for part in parts[1:]:
-            rendered += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-        return rendered
+        return render_sum((coeff, self.ctx.monomial_name(e)) for e, coeff in ordered)
 
     __repr__ = __str__

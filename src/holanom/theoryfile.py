@@ -176,25 +176,24 @@ def parse_theory_file(text: str) -> Theory:
     """Parse a theory file into a validated Theory; errors carry line numbers."""
     dimension: Union[int, None] = None
     gauge_su: Union[int, None] = None
-    gauge_declared = flavor_declared = False
     abelian = False
+    declared: set[str] = set()
     multiplet_lines: list[tuple[int, list[str]]] = []
     unknown_marks: list[tuple[int, int]] = []
 
     for line_no, tokens in _declaration_lines(text):
         cursor = _Tokens(line_no, tokens)
         keyword = cursor.take("keyword")
+        if keyword in ("dimension", "gauge", "flavor-u1"):
+            if keyword in declared:
+                raise TheoryParseError(line_no, f"duplicate {keyword} declaration")
+            declared.add(keyword)
         if keyword == "dimension":
-            if dimension is not None:
-                raise TheoryParseError(line_no, "duplicate dimension declaration")
             dimension = cursor.integer("dimension")
             if dimension < 1:
                 raise TheoryParseError(line_no, "dimension must be at least 1")
             cursor.done()
         elif keyword == "gauge":
-            if gauge_declared:
-                raise TheoryParseError(line_no, "duplicate gauge declaration")
-            gauge_declared = True
             kind = cursor.take("gauge kind")
             if kind == "su":
                 gauge_su = cursor.integer("SU rank")
@@ -204,9 +203,6 @@ def parse_theory_file(text: str) -> Theory:
                 raise TheoryParseError(line_no, f"unknown gauge kind {kind!r}")
             cursor.done()
         elif keyword == "flavor-u1":
-            if flavor_declared:
-                raise TheoryParseError(line_no, "duplicate flavor-u1 declaration")
-            flavor_declared = True
             state = cursor.take("flavor-u1 state")
             if state not in ("on", "off"):
                 raise TheoryParseError(line_no, f"flavor-u1 must be on or off, got {state!r}")

@@ -13,6 +13,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from .ring import render_sum
+
 Coeffs = tuple[Fraction, ...]
 
 
@@ -168,21 +170,5 @@ def rational_roots(coeffs: Coeffs) -> list[Fraction]:
 
 def format_poly(coeffs: Coeffs) -> str:
     """Human-readable rendering in r, highest power first, e.g. "-5*r - 3"."""
-    coeffs = normalize(coeffs)
-    if not coeffs:
-        return "0"
-    parts = []
-    for power in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[power]
-        if c == 0:
-            continue
-        if power == 0:
-            body = str(abs(c))
-        else:
-            var = "r" if power == 1 else f"r^{power}"
-            body = var if abs(c) == 1 else f"{abs(c)}*{var}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    names = ["1", "r"] + [f"r^{k}" for k in range(2, len(coeffs))]
+    return render_sum(reversed(list(zip(coeffs, names))))

@@ -12,20 +12,16 @@ itself no longer uses.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import mul
 from typing import Sequence
 
-from holanom.chern import (
-    _GRAV_NAME,
-    Atom,
-    FieldContent,
-    GaugeRep,
-    Kpow,
-    _require_gravitational,
-)
+from holanom.chern import Atom, FieldContent, GaugeRep, Kpow
 from holanom.ring import GeneratorMismatch, GeneratorSet, GradedPoly
+
+_GRAV_NAME = re.compile(r"g(\d+)")
 
 # A naive polynomial is dict[exponent tuple, Fraction]; degrees is the
 # per-generator degree tuple and cap the truncation bound.
@@ -277,7 +273,9 @@ def pushforward_curve_square_zero(poly: GradedPoly, n: int, chi_hol) -> GradedPo
                 raise GeneratorMismatch(
                     f"generator {name} exceeds the rank n+1 = {n + 1} total space"
                 )
-    _require_gravitational(src, n + 1, capped=False)
+    for k in range(1, n + 2):
+        if f"g{k}" not in src.names:
+            raise GeneratorMismatch(f"context lacks gravitational generator g{k}")
 
     target_names, target_degrees = [], []
     for name, degree in zip(src.names, src.degrees):

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from holanom import anomaly, duality
+from holanom import anomaly
 from holanom.anomaly import (
     anomaly_polynomial,
     classify,
@@ -488,7 +488,6 @@ def test_pipeline_runs_per_call(monkeypatch, call, runs):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(anomaly, "anomaly_polynomial", counted)
-    monkeypatch.setattr(duality, "anomaly_polynomial", counted)
     call()
     assert len(calls) == runs
 

@@ -435,6 +435,19 @@ def test_pushforward_rejects_deep_generators():
         pushforward_curve(poly, 1, F(1))
 
 
+@pytest.mark.parametrize(
+    "ctx",
+    [
+        GeneratorSet(("g1", "g2"), (2, 4), 8),  # cap 2n+6, not 2n+4
+        GeneratorSet(("g1", "g2", "h"), (2, 4, 2), 6),  # a name no twist context has
+        GeneratorSet(("g1", "g2", "s2"), (2, 4, 6), 6),  # s2 at the wrong degree
+    ],
+)
+def test_pushforward_rejects_rings_outside_the_twist_contexts(ctx):
+    with pytest.raises(GeneratorMismatch):
+        pushforward_curve(gen(ctx, "g1") ** 2, 1, F(1))
+
+
 def test_pushforward_two_to_one_matches_hand_expansion():
     # (g1 + s)^2 has s-coefficient 2 g1, and g2 -> g1^2/2 contributes nothing linear
     pushed = pushforward_curve(gen(CTX2, "g1") ** 2, 1, F(1, 2))

@@ -257,6 +257,27 @@ def test_solve_r_with_17_digit_coefficients_finishes(argv, roots):
     assert done.stderr == ""
 
 
+def test_reader_closing_the_pipe_early_prints_no_traceback():
+    # wide.th prints about 225 KB, more than a pipe buffer holds, so the
+    # writer is still blocked on stdout when the reader closes it
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "holanom.cli", "compute", "wide.th"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=root / "tests" / "golden",
+        env=os.environ | {"PYTHONPATH": str(root / "src")},
+    )
+    try:
+        assert proc.stdout.readline().startswith(b"grav.")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
 @pytest.mark.parametrize("n,parity,copies", [(3, "even", 1), (4, "odd", 2), (5, "even", 3)])
 def test_compute_grav_keys_match_chern_root_oracle(tmp_path, capsys, n, parity, copies):
     rng = random.Random(n)

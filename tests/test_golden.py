@@ -77,6 +77,13 @@ CASES = [
     "solve-r unknown_r_zero.th",
     "compute huge_gauge.th",
     "solve-r long_charge.th",
+    "compute duplicate_dimension.th",
+    "compute duplicate_gauge.th",
+    "compute duplicate_flavor.th",
+    "qcd --colors x --flavors 3",
+    "compactify line.th",
+    "compactify line.th --fiber-chi 1/0",
+    "compute sqcd.th --bogus",
 ]
 
 

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from holanom.chern import twist_context
+from holanom.chern import gravitational_context, todd, twist_context
 from holanom.ring import (
     GeneratorMismatch,
     GeneratorSet,
@@ -303,6 +303,34 @@ def test_evaluate_at_rationals():
         q = random_graded_poly(rng, CTX2)
         point = {"g1": random_rational(rng), "g2": random_rational(rng)}
         assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
+
+
+# ---------------------------------------------------------------------------
+# rendering
+
+
+@pytest.mark.parametrize(
+    "poly,text",
+    [
+        (GradedPoly.zero(CTX2), "0"),
+        (GradedPoly.constant(CTX2, F(-3, 4)), "-3/4"),
+        (
+            todd(2, gravitational_context(2)),
+            "1 + 1/2*g1 - 1/12*g2 + 1/8*g1^2 - 1/24*g1*g2 + 1/48*g1^3",
+        ),
+        (-gen(CTX2, "g1") + gen(CTX2, "g2") - 1, "-1 - g1 + g2"),
+        (
+            gen(CTX2, "g1") * gen(CTX2, "g2") - F(2, 3) * gen(CTX2, "g1") ** 3
+            + F(5, 2) * gen(CTX2, "g2"),
+            "5/2*g2 + g1*g2 - 2/3*g1^3",
+        ),
+        (-F(1, 2) * gen(CTX2, "g1") - gen(CTX2, "g1") ** 2, "-1/2*g1 - g1^2"),
+        (7 * gen(CTX2, "g2") + 1, "1 + 7*g2"),
+    ],
+)
+def test_str_orders_by_degree_and_signs_each_term(poly, text):
+    # degree first, then exponent tuple; unit coefficients print bare
+    assert str(poly) == text
 
 
 # ---------------------------------------------------------------------------
