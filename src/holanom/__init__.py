@@ -62,6 +62,7 @@ from .anomaly import (
     render_local_cocycle,
     solve_r,
     t_background_obstruction,
+    theory_report,
     twist_substitute,
 )
 from .duality import (

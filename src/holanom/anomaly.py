@@ -168,10 +168,15 @@ def monomial_buckets(ctx: GeneratorSet, n: int) -> dict[str, list[str]]:
     return buckets
 
 
+def theory_anomaly(theory: Theory) -> tuple[FieldContent, GradedPoly]:
+    """A theory's twisted content and its anomaly in the twist context of its gauge data."""
+    content = twist_content(theory)
+    return content, anomaly_polynomial(content, context_for_theory(theory))
+
+
 def theory_report(theory: Theory) -> AnomalyReport:
-    """The classified anomaly of a theory, in the twist context of its gauge data."""
-    content, ctx = twist_content(theory), context_for_theory(theory)
-    return classify(anomaly_polynomial(content, ctx), theory.dimension)
+    """The classified anomaly of a theory."""
+    return classify(theory_anomaly(theory)[1], theory.dimension)
 
 
 # ---------------------------------------------------------------------------

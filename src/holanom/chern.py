@@ -14,8 +14,10 @@ Conventions used throughout:
  * a parity-odd summand contributes its Chern character with a minus sign.
 
 Gauge representations are summarized by the four invariants (dim, t2, t3,
-q) that every computation here factors through; full weight systems are
-out of scope.
+q); full weight systems are out of scope.  ch is additive and a K^lam (x)
+rep atom has ch = exp(-lam*g1 + q*f1) * (dim + t2*s2 + t3*s3), so ch_content
+writes a whole content as one sum over its atoms of terms g1^k f1^j x, x in
+(1, s2, s3).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial
 from typing import Union
 
 from .ring import (
@@ -31,15 +33,14 @@ from .ring import (
     GeneratorSet,
     GradedPoly,
     RationalLike,
-    homogeneous_monomials,
 )
 
 GAUGE_GENERATOR_DEGREES = {"s2": 4, "s3": 6, "f1": 2}
 # Largest supported complex dimension; every context above it is refused,
 # so each input finishes in bounded time.  At this ceiling one compute takes
-# about 0.45 s on a gravitational atom and 0.8 s in the largest context
-# (SU(N) plus the abelian background), growing 1.4-1.8x every two dimensions
-# (median of 5 fresh processes on a 2-vCPU Xeon virtual machine).
+# about 0.5 s on a gravitational atom and 0.65 s in the largest context
+# (SU(N) plus the abelian background, two charged atoms), growing about 1.4x
+# every two dimensions (median of 5 fresh processes, 2-vCPU Xeon VM).
 MAX_DIMENSION = 20
 
 
@@ -235,20 +236,20 @@ class FieldContent:
 # closed forms, each an exp of a linear form (Macdonald, Symmetric Functions, I (2.14'))
 
 
-def _exp_linear(ctx: GeneratorSet, weights: dict, degrees=None) -> GradedPoly:
-    """exp(sum_x w_x * x) in the given degrees (all by default), written term by term.
-
-    The coefficient of prod_x x^m_x is prod_x w_x^m_x / m_x!, so no ring
-    product is formed; generators of zero weight are not enumerated.
-    """
-    degree_of = {x: ctx.degrees[ctx.index(x)] for x in weights}
-    w = {x: Fraction(v) for x, v in weights.items() if v}
-    sub = GeneratorSet(tuple(w), tuple(degree_of[x] for x in w), ctx.cap)
-    return GradedPoly(ctx, (
-        (dict(zip(w, ms)), prod(w[x] ** m / factorial(m) for x, m in zip(w, ms)))
-        for degree in (range(0, ctx.cap + 1, 2) if degrees is None else degrees)
-        for ms in homogeneous_monomials(sub, degree)
-    ))
+def _exp_terms(ctx: GeneratorSet, weights: dict, degrees=None, body=(({}, 1),)) -> list:
+    """(exponents, coefficient) terms of exp(sum_x w_x * x) * body in the given degrees (all by
+    default), body holding ({name: exponent}, c) terms.  The coefficient of b * prod_x x^m_x is
+    c_b * prod_x w_x^m_x / m_x!, so no ring product is formed; generators of zero weight are
+    neither looked up nor enumerated, and no term above the largest wanted degree is formed."""
+    degrees = range(0, ctx.cap + 1, 2) if degrees is None else degrees
+    top = max(degrees)
+    terms = [(e, ctx.degree(e), Fraction(c)) for e, c in ((ctx.monomial(b), c) for b, c in body)]
+    for i, w in ((ctx.index(x), Fraction(w)) for x, w in weights.items() if w):
+        d = ctx.degrees[i]
+        series = [w**m / factorial(m) for m in range(top // d + 1)]
+        terms = [(e[:i] + (e[i] + m,) + e[i + 1 :], degree + m * d, c * series[m])
+                 for e, degree, c in terms for m in range((top - degree) // d + 1)]
+    return [(e, c) for e, degree, c in terms if degree in degrees]
 
 
 def _require_gravitational(ctx: GeneratorSet, n: int):
@@ -268,7 +269,7 @@ def _chern_exponent(n: int) -> dict:
 def c_from_ch(n: int, ctx: GeneratorSet) -> list[GradedPoly]:
     """Chern classes c_1..c_n of the rank-n bundle with ch_k = g_k."""
     _require_gravitational(ctx, n)
-    return [_exp_linear(ctx, _chern_exponent(n), (2 * k,)) for k in range(1, n + 1)]
+    return [GradedPoly(ctx, _exp_terms(ctx, _chern_exponent(n), (2 * k,))) for k in range(1, n + 1)]
 
 
 def tangent_ch(n: int, ctx: GeneratorSet) -> list[GradedPoly]:
@@ -278,8 +279,8 @@ def tangent_ch(n: int, ctx: GeneratorSet) -> list[GradedPoly]:
     against the missing term (-1)^n p_{n+1} / (n+1), so ch_{n+1} = (-1)^(n+1) E / n!.
     """
     _require_gravitational(ctx, n)
-    top = _exp_linear(ctx, _chern_exponent(n), (2 * n + 2,))
-    top = top * Fraction((-1) ** (n + 1), factorial(n))
+    body = (({}, Fraction((-1) ** (n + 1), factorial(n))),)
+    top = GradedPoly(ctx, _exp_terms(ctx, _chern_exponent(n), (2 * n + 2,), body))
     return [GradedPoly.generator(ctx, f"g{k}") for k in range(1, n + 1)] + [top]
 
 
@@ -290,37 +291,45 @@ def tangent_ch(n: int, ctx: GeneratorSet) -> list[GradedPoly]:
 def ch_geom(geom: Geom, n: int, ctx: GeneratorSet) -> GradedPoly:
     """Truncated Chern character of a geometric factor in dimension n."""
     if isinstance(geom, Kpow):
-        return _exp_linear(ctx, {"g1": -geom.power})
+        return GradedPoly(ctx, _exp_terms(ctx, {"g1": -geom.power}))
     # dualizing negates the odd power sums
     sign = -1 if isinstance(geom, _Cotangent) else 1
     return n + sum(sign**k * ch_k for k, ch_k in enumerate(tangent_ch(n, ctx), start=1))
 
 
-def ch_rep(rep: GaugeRep, ctx: GeneratorSet) -> GradedPoly:
-    """Chern character of a gauge representation: exp(q*f1)*(dim + t2*s2 + t3*s3).
+def _line_terms(ctx: GeneratorSet, power: Fraction, rep: GaugeRep, scale: int = 1) -> list:
+    """Terms of scale * ch(K^power (x) rep) = scale * exp(-power*g1 + q*f1) * (dim + t2*s2 +
+    t3*s3).  A gauge generator missing from ctx is an error unless its degree exceeds the cap,
+    where its term is zero anyway."""
+    body = [({}, scale * rep.dim)] + [({name: 1}, scale * coeff) for name, coeff in (
+        ("s2", rep.t2), ("s3", rep.t3)) if coeff and GAUGE_GENERATOR_DEGREES[name] <= ctx.cap]
+    return _exp_terms(ctx, {"g1": -power, "f1": rep.q}, body=body)
 
-    A gauge generator missing from the context is an error unless its
-    degree already exceeds the cap, in which case its term is zero anyway.
-    """
-    body = GradedPoly(ctx, [({}, rep.dim)] + [
-        ({name: 1}, coeff)
-        for name, coeff in (("s2", rep.t2), ("s3", rep.t3))
-        if coeff and GAUGE_GENERATOR_DEGREES[name] <= ctx.cap
-    ])
-    return _exp_linear(ctx, {"f1": rep.q}) * body if rep.q else body
+
+def ch_rep(rep: GaugeRep, ctx: GeneratorSet) -> GradedPoly:
+    """Chern character of a gauge representation: exp(q*f1)*(dim + t2*s2 + t3*s3)."""
+    return GradedPoly(ctx, _line_terms(ctx, Fraction(0), rep))
 
 
 def ch_atom(atom: Atom, n: int, ctx: GeneratorSet) -> GradedPoly:
     """Signed Chern character of one atom; odd parity contributes negatively."""
-    return atom.sign * ch_geom(atom.geom, n, ctx) * ch_rep(atom.rep, ctx)
+    return ch_content(FieldContent(n, ((1, atom),)), ctx)
 
 
 def ch_content(content: FieldContent, ctx: GeneratorSet) -> GradedPoly:
-    """Chern character of a formal sum: additive over pieces with multiplicity."""
-    total = GradedPoly.zero(ctx)
+    """Chern character of a formal sum as one polynomial: a K^lam (x) rep piece of multiplicity m
+    adds sign * m * (-lam)^k/k! * q^j/j! * w_x to g1^k f1^j x, x in (1, s2, s3), w = (dim, t2,
+    t3), below the cap, and a tangent or cotangent piece the terms of ch_geom * ch_rep."""
+    total: dict = {}
     for multiplicity, atom in content.pieces:
-        total = total + multiplicity * ch_atom(atom, content.dimension, ctx)
-    return total
+        scale, geom = atom.sign * multiplicity, atom.geom
+        if isinstance(geom, Kpow):
+            terms = _line_terms(ctx, geom.power, atom.rep, scale)
+        else:
+            terms = (scale * ch_geom(geom, content.dimension, ctx) * ch_rep(atom.rep, ctx)).terms()
+        for e, c in terms:
+            total[e] = total.get(e, 0) + c
+    return GradedPoly(ctx, total)
 
 
 @lru_cache(maxsize=None)
@@ -348,7 +357,8 @@ def todd(n: int, ctx: GeneratorSet) -> GradedPoly:
     """
     a = todd_log_coefficients(n + 1)
     top = tangent_ch(n, ctx)[n] * (a[n] * factorial(n + 1))
-    return _exp_linear(ctx, {f"g{k}": a[k - 1] * factorial(k) for k in range(1, n + 1)}) + top
+    weights = {f"g{k}": a[k - 1] * factorial(k) for k in range(1, n + 1)}
+    return GradedPoly(ctx, _exp_terms(ctx, weights)) + top
 
 
 # ---------------------------------------------------------------------------

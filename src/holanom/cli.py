@@ -28,12 +28,13 @@ from .anomaly import (
     physical_ac,
     solve_r,
     t_background_obstruction,
+    theory_anomaly,
     theory_report,
 )
 from .chern import pushforward_curve
 from .duality import SQCDSpec, electric_report, quark_charge, seiberg_match
 from .ring import format_rational, parse_rational
-from .theory import ConfigurationError, ConsistencyError, Theory, twist_content
+from .theory import ConfigurationError, ConsistencyError, Theory
 from .theoryfile import TheoryParseError, parse_theory_file
 
 Record = tuple[str, object]
@@ -167,9 +168,10 @@ def _cmd_compactify(args) -> list[Record]:
     theory = _load_theory(args.file)
     if theory.dimension != 2:
         raise ConfigurationError("compactify expects a dimension-2 theory file")
-    if any(not atom.rep.is_gauge_trivial for _, atom in twist_content(theory).pieces):
+    content, anomaly = theory_anomaly(theory)
+    if any(not atom.rep.is_gauge_trivial for _, atom in content.pieces):
         raise ConfigurationError("compactify expects gravitational-only content")
-    pushed = pushforward_curve(theory_report(theory).full, 1, args.fiber_chi)
+    pushed = pushforward_curve(anomaly, 1, args.fiber_chi)
     return [("fiber_chi", args.fiber_chi)] + _report_records(classify(pushed, 1))
 
 

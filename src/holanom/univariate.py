@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .ring import render_sum
+from .ring import RationalLike, render_sum
 
 Coeffs = tuple[Fraction, ...]
 
@@ -30,8 +30,8 @@ def degree(coeffs: Coeffs) -> int:
     return len(coeffs) - 1
 
 
-def evaluate(coeffs: Coeffs, x: Fraction) -> Fraction:
-    total = Fraction(0)
+def evaluate(coeffs: Sequence[RationalLike], x: RationalLike) -> RationalLike:
+    total = 0
     for c in reversed(coeffs):
         total = total * x + c
     return total
@@ -104,24 +104,32 @@ def gcd(a: Coeffs, b: Coeffs) -> Coeffs:
     return scale(a, 1 / a[-1]) if a else ()
 
 
-def _integer_roots(h: Coeffs) -> set[int]:
+def _integral(a: Sequence[RationalLike]) -> tuple[int, ...]:
+    """a times the least common denominator of its coefficients, a positive integer."""
+    denominator = math.lcm(*(c.denominator for c in a))
+    return tuple(int(c * denominator) for c in a)
+
+
+def _integer_roots(h: tuple[int, ...]) -> set[int]:
     """Integer roots of a square-free monic integer polynomial h of degree >= 1.
 
     h has V(lo) - V(hi) distinct real roots in (lo, hi], V(x) being the sign
     changes at x along its Sturm chain h, h', -rem(h, h'), ...  Integer
     bisection inside the Cauchy bound splits the roots apart.  Once an
     interval holds one root with a sign change across it, the sign of h at
-    the midpoint alone says which half holds the root.
+    the midpoint alone says which half holds the root.  Positive integer
+    multiples of the chain keep every sign and evaluate in plain int.
     """
     chain = [h, _derivative(h)]
     while degree(chain[-1]) > 0:
         chain.append(scale(_divmod(chain[-2], chain[-1])[1], Fraction(-1)))
+    chain = [_integral(p) for p in chain]
 
     def changes(x: int) -> int:
         signs = [v > 0 for v in (evaluate(p, x) for p in chain) if v]
         return sum(s != t for s, t in zip(signs, signs[1:]))
 
-    bound = 1 + int(max(abs(c) for c in h[:-1]))
+    bound = 1 + max(abs(c) for c in h[:-1])
     roots = set()
     intervals = [(-bound, bound, changes(-bound), changes(bound))]
     while intervals:
@@ -158,11 +166,10 @@ def rational_roots(coeffs: Coeffs) -> list[Fraction]:
         coeffs = coeffs[1:]
     if degree(coeffs) >= 1:
         square_free = _divmod(coeffs, gcd(coeffs, _derivative(coeffs)))[0]
-        denominator = math.lcm(*(c.denominator for c in square_free))
-        ints = [int(c * denominator) for c in square_free]
+        ints = _integral(square_free)
         content = math.gcd(*ints)
         *low, lead = (a // content for a in ints)
-        h = (*(Fraction(a * lead ** (len(low) - 1 - i)) for i, a in enumerate(low)), Fraction(1))
+        h = (*(a * lead ** (len(low) - 1 - i) for i, a in enumerate(low)), 1)
         candidates = (Fraction(y, lead) for y in _integer_roots(h))
         roots += [x for x in candidates if evaluate(coeffs, x) == 0]
     return sorted(roots)

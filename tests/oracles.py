@@ -18,7 +18,7 @@ from math import comb, factorial, lcm
 from operator import mul
 from typing import Sequence
 
-from holanom.chern import Atom, FieldContent, GaugeRep, Kpow
+from holanom.chern import COTANGENT, Atom, FieldContent, GaugeRep, Kpow
 from holanom.ring import GeneratorMismatch, GeneratorSet, GradedPoly
 
 _GRAV_NAME = re.compile(r"g(\d+)")
@@ -98,6 +98,61 @@ def naive_homogeneous_monomials(degrees, degree):
 def from_graded(poly):
     """Dump a package polynomial into the naive representation."""
     return {exps: coeff for exps, coeff in poly.terms()}
+
+
+_NAIVE_GAUGE_DEGREES = {"f1": 2, "s2": 4, "s3": 6}
+
+
+def naive_ch_content(content, names, degrees, cap):
+    """Chern character of a FieldContent as a naive dict over the generators (names, degrees).
+
+    Each piece is sign * multiplicity * geom * rep, with rep = exp(q*f1) * (dim + t2*s2 +
+    t3*s3) and geom = exp(-lam*g1) for K^lam or n + sum_k (+-1)^k ch_k for the tangent
+    (cotangent) bundle, all by naive_exp and naive_mul.  ch_k is g_k up to the rank n and,
+    beyond it, comes from Newton's identity p_k = sum_{i<k} (-1)^(i-1) c_i p_{k-i} +
+    (-1)^(k-1) k c_k with p_k = k! ch_k and c_k = 0 above the rank.  Raises
+    GeneratorMismatch when a non-zero t2, t3 or q needs a generator that is not in names
+    though its degree is within the cap.
+    """
+    zero = (0,) * len(names)
+
+    def unit(name):
+        if name not in names:
+            raise GeneratorMismatch(f"oracle: no generator {name}")
+        return tuple(int(x == name) for x in names)
+
+    n = content.dimension
+    total = {}
+    for multiplicity, atom in content.pieces:
+        rep = atom.rep
+        body = {zero: Fraction(rep.dim)}
+        for name, w in (("s2", rep.t2), ("s3", rep.t3)):
+            if w and _NAIVE_GAUGE_DEGREES[name] <= cap:
+                body = naive_add(body, {unit(name): Fraction(w)})
+        if rep.q:
+            body = naive_mul(naive_exp({unit("f1"): rep.q}, degrees, cap), body, degrees, cap)
+        if isinstance(atom.geom, Kpow):
+            lam = atom.geom.power
+            geom = naive_exp({unit("g1"): -lam} if lam else {}, degrees, cap)
+        else:
+            sign = -1 if atom.geom == COTANGENT else 1
+            c, p = [], [None]
+            for k in range(1, cap // 2 + 1):
+                acc = {}
+                for i in range(1, min(k - 1, n) + 1):
+                    term = naive_mul(c[i - 1], p[k - i], degrees, cap)
+                    acc = naive_add(acc, naive_scale(term, Fraction((-1) ** (i - 1))))
+                if k <= n:
+                    p.append({unit(f"g{k}"): Fraction(factorial(k))})
+                    c.append(naive_scale(naive_add(p[k], naive_scale(acc, -1)), Fraction((-1) ** (k - 1), k)))
+                else:
+                    p.append(acc)
+            geom = {zero: Fraction(n)}
+            for k in range(1, cap // 2 + 1):
+                geom = naive_add(geom, naive_scale(p[k], Fraction(sign**k, factorial(k))))
+        piece = naive_mul(geom, body, degrees, cap)
+        total = naive_add(total, naive_scale(piece, atom.sign * multiplicity))
+    return total
 
 
 def elementary_symmetric(roots, k):

@@ -43,6 +43,8 @@ from oracles import (
     ch_from_c,
     ch_of_roots,
     elementary_symmetric,
+    from_graded,
+    naive_ch_content,
     pushforward_curve_square_zero,
     random_graded_poly,
     random_rational,
@@ -220,6 +222,78 @@ def _random_content(rng):
             )
         )
     return FieldContent(2, tuple(pieces))
+
+
+def _random_oracle_content(rng, n):
+    """Seeded content in dimension n: zero, negative and fractional lam, tangent and
+    cotangent factors, built-in and arbitrary (charged, su-valued) reps, both parities."""
+    def weight():
+        return rng.choice([F(0), random_rational(rng, 4, 3)])
+
+    def rep():
+        pick = rng.randrange(6)
+        if pick == 0:
+            return trivial(rng.randint(1, 3), rng.choice([0, random_rational(rng, 3, 3)]))
+        if pick <= 2:
+            return rng.choice([fundamental, antifundamental, adjoint])(rng.randint(2, 4))
+        return GaugeRep(rng.randint(1, 4), weight(), weight(), weight())
+
+    def geom():
+        pick = rng.randrange(5)
+        if pick == 0:
+            return rng.choice([TANGENT, COTANGENT])
+        return Kpow(F(0) if pick == 1 else random_rational(rng, 7, 4))
+
+    pieces = [
+        (rng.choice([-3, -1, 1, 2, 5]), Atom(geom(), rep(), rng.choice(["even", "odd"])))
+        for _ in range(rng.randint(0, 4))
+    ]
+    return FieldContent(n, tuple(pieces))
+
+
+def test_ch_content_matches_naive_oracle():
+    # 400 seeded contents over dimensions 1-6 in all four twist contexts; dimension 1
+    # (cap 4) drops s3 and every cap drops the high powers of f1 and g1
+    rng = random.Random(53)
+    compared = refused = 0
+    for case in range(400):
+        n = 1 + case % 6
+        ctx = twist_context(n, simple=rng.random() < 0.5, abelian=rng.random() < 0.5)
+        content = _random_oracle_content(rng, n)
+        try:
+            expected = naive_ch_content(content, ctx.names, ctx.degrees, ctx.cap)
+        except GeneratorMismatch:
+            with pytest.raises(GeneratorMismatch):
+                ch_content(content, ctx)
+            refused += 1
+            continue
+        assert from_graded(ch_content(content, ctx)) == expected
+        compared += 1
+    assert compared >= 150 and refused >= 50
+
+
+@pytest.mark.parametrize(
+    "ctx,pieces",
+    [
+        # a charged atom, canonical or tangent, in a ring without f1
+        (twist_context(2, simple=True), [(1, Atom(Kpow(F(1, 3)), trivial(1, F(1, 2))))]),
+        (twist_context(3), [(2, Atom(TANGENT, trivial(2, 1), "odd"))]),
+        # an su-valued atom in a ring without s2, also when a flipped copy cancels it
+        (twist_context(2, abelian=True), [(1, Atom(TRIVIAL, adjoint(2)))]),
+        (twist_context(1, abelian=True), [(1, Atom(Kpow(F(-1)), fundamental(2)))]),
+        (
+            twist_context(2),
+            [(1, Atom(TRIVIAL, fundamental(3))), (1, Atom(TRIVIAL, fundamental(3), "odd"))],
+        ),
+    ],
+)
+def test_ch_content_refuses_atoms_outside_the_ring(ctx, pieces):
+    content = FieldContent(ctx.cap // 2 - 1, tuple(pieces))
+    with pytest.raises(GeneratorMismatch):
+        ch_content(content, ctx)
+    for _, atom in pieces:
+        with pytest.raises(GeneratorMismatch):
+            ch_atom(atom, content.dimension, ctx)
 
 
 def test_ch_canonical_powers_multiply():

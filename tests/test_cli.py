@@ -257,6 +257,24 @@ def test_solve_r_with_17_digit_coefficients_finishes(argv, roots):
     assert done.stderr == ""
 
 
+def test_compute_at_max_dimension_finishes():
+    # the largest context at the dimension ceiling, in a fresh interpreter under a timeout
+    root = Path(__file__).resolve().parents[1]
+    golden = root / "tests" / "golden"
+    assert f"dimension {MAX_DIMENSION}\n" in (golden / "max_dimension.th").read_text()
+    done = subprocess.run(
+        [sys.executable, "-m", "holanom.cli", "compute", "max_dimension.th"],
+        capture_output=True,
+        text=True,
+        cwd=golden,
+        env=os.environ | {"PYTHONPATH": str(root / "src")},
+        timeout=10,
+    )
+    assert done.returncode == 0
+    assert done.stdout.endswith("gauge_free = false\nt_free = false\n")
+    assert done.stderr == ""
+
+
 def test_reader_closing_the_pipe_early_prints_no_traceback():
     # wide.th prints about 225 KB, more than a pipe buffer holds, so the
     # writer is still blocked on stdout when the reader closes it
