@@ -44,12 +44,12 @@ from .theory import (
     Theory,
     Vector,
     chiral_twist_power,
-    interpolate_in_r,
     twist_content,
     with_unknown_r,
 )
 from .anomaly import (
     AnomalyReport,
+    anomaly_in_r,
     anomaly_polynomial,
     classify,
     context_for_content,

@@ -19,9 +19,10 @@ c = 24 times its coefficient in the standard Virasoro normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
+from math import factorial
 from typing import Union
 
 from . import univariate
@@ -46,12 +47,13 @@ from .ring import (
 )
 from .theory import (
     MULTIPLETS,
+    Chiral,
     Theory,
-    interpolate_in_r,
     multiplet_atoms,
     multiplet_uses,
     require_unknown_r,
     twist_content,
+    with_unknown_r,
 )
 
 GAUGE_GENERATORS = frozenset(GAUGE_GENERATOR_DEGREES)
@@ -179,6 +181,29 @@ def theory_report(theory: Theory) -> AnomalyReport:
     return classify(theory_anomaly(theory)[1], theory.dimension)
 
 
+def anomaly_in_r(theory: Theory) -> list[GradedPoly]:
+    """[A_0, ..., A_{n+1}] with anomaly = sum_b r^b * A_b in the unknown R-charge r.
+
+    A marked chiral enters only through ch(K^lam) = exp(-lam*g1) with
+    lam = 1/2 + r/2, which is exp(-g1/2) * sum_b (-r/2)^b g1^b / b!.  So A_0
+    is the anomaly at r = 0 and, for b >= 1, A_b is the top degree of
+    Td * (-1/2)^b/b! * g1^b * ch(marked chirals at r = 0): one product
+    against the cached Todd class each, with g1^b a shift of the g1
+    exponent.  Above b = n+1 the shift leaves nothing under the cap.
+    """
+    require_unknown_r(theory)
+    n, ctx = theory.dimension, context_for_theory(theory)
+    marked = [replace(m, r=0) for m in theory.multiplets if isinstance(m, Chiral) and m.unknown_r]
+    ch = ch_content(FieldContent(n, tuple(p for m in marked for p in multiplet_atoms(m, None))), ctx)
+    td, g1 = todd(n, ctx), ctx.index("g1")
+    coefficients = [theory_anomaly(with_unknown_r(theory, 0))[1]]
+    for b in range(1, n + 2):
+        scale = Fraction(-1, 2) ** b / factorial(b)
+        shifted = {e[:g1] + (e[g1] + b,) + e[g1 + 1 :]: c * scale for e, c in ch.terms()}
+        coefficients.append(td.product_component(GradedPoly(ctx, shifted), 2 * n + 2))
+    return coefficients
+
+
 # ---------------------------------------------------------------------------
 # conversions between holomorphic and physical coefficients
 
@@ -275,11 +300,11 @@ def solve_r(theory: Theory, target: str = "all-mixed") -> SolveResult:
 
     target is a single gauge or mixed monomial name (e.g. "g1*s2"), or
     "all-mixed" to require every mixed coefficient to vanish at once.
-    Coefficients are exact cubics in r, read off one interpolate_in_r call
-    whose evaluator classifies the anomaly once per sample theory, so a
-    solve costs five pipeline runs whatever the number of targets.  The
-    exact rational roots of the constraints' one polynomial gcd solve them
-    all; irrational roots are deliberately not approximated and do not appear.
+    Coefficients are exact polynomials in r, read off the classified
+    coefficients of anomaly_in_r, so a solve costs one pipeline run whatever
+    the number of targets.  The exact rational roots of the constraints' one
+    polynomial gcd solve them all; irrational roots are deliberately not
+    approximated and do not appear.
     """
     buckets = monomial_buckets(context_for_theory(theory), theory.dimension)
     if target == "all-mixed":
@@ -293,14 +318,14 @@ def solve_r(theory: Theory, target: str = "all-mixed") -> SolveResult:
             )
         names = [target]
 
-    def coefficients_at(instance: Theory) -> dict[str, Fraction]:
-        report = theory_report(instance)
-        found = {**report.pure_gauge, **report.mixed}
-        return {name: found.get(name, Fraction(0)) for name in names}
-
     require_unknown_r(theory)
-    # a marked charge with nothing targeted is unconstrained, without sampling
-    polynomials = interpolate_in_r(theory, coefficients_at) if names else {}
+    # a marked charge with nothing targeted is unconstrained, without a pipeline run
+    reports = [classify(a, theory.dimension) for a in anomaly_in_r(theory)] if names else []
+    found = [{**report.pure_gauge, **report.mixed} for report in reports]
+    polynomials = {
+        name: univariate.normalize([values.get(name, Fraction(0)) for values in found])
+        for name in names
+    }
     constraints = [c for c in polynomials.values() if c]
     if not constraints:
         return SolveResult(target, polynomials, None, True)

@@ -33,7 +33,7 @@ from .anomaly import (
 )
 from .chern import pushforward_curve
 from .duality import SQCDSpec, electric_report, quark_charge, seiberg_match
-from .ring import format_rational, parse_rational
+from .ring import format_rational, parse_integer, parse_rational
 from .theory import ConfigurationError, ConsistencyError, Theory
 from .theoryfile import TheoryParseError, parse_theory_file
 
@@ -41,6 +41,14 @@ Record = tuple[str, object]
 
 # report key prefix of each AnomalyReport bucket, in report order
 _BUCKET_PREFIXES = {"gravitational": "grav", "pure_gauge": "gauge", "mixed": "mixed"}
+
+
+def _integer_argument(token: str) -> int:
+    try:
+        return parse_integer(token)
+    except ValueError:
+        # the wording argparse gives for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
 
 
 def _rational_argument(token: str) -> Fraction:
@@ -190,13 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
     table.set_defaults(handler=_cmd_table)
 
     qcd = sub.add_parser("qcd", help="electric SQCD at the anomaly-free R-charge")
-    qcd.add_argument("--colors", type=int, required=True)
-    qcd.add_argument("--flavors", type=int, required=True)
+    qcd.add_argument("--colors", type=_integer_argument, required=True)
+    qcd.add_argument("--flavors", type=_integer_argument, required=True)
     qcd.set_defaults(handler=_cmd_qcd)
 
     seiberg = sub.add_parser("seiberg", help="match electric and magnetic anomalies")
-    seiberg.add_argument("--colors", type=int, required=True)
-    seiberg.add_argument("--flavors", type=int, required=True)
+    seiberg.add_argument("--colors", type=_integer_argument, required=True)
+    seiberg.add_argument("--flavors", type=_integer_argument, required=True)
     seiberg.set_defaults(handler=_cmd_seiberg)
 
     solve = sub.add_parser("solve-r", help="solve for anomaly-free R-charges")
@@ -208,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compactify", help="push the anomaly forward along a curve fiber"
     )
     # argparse's own matcher plus p/q: read -3/2 as a value, not as an option
-    compactify._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+    compactify._negative_number_matcher = re.compile(r"^-[0-9]+(/[0-9]+)?$|^-[0-9]*\.[0-9]+$")
     compactify.add_argument("file")
     compactify.add_argument("--fiber-chi", type=_rational_argument, required=True)
     compactify.set_defaults(handler=_cmd_compactify)
@@ -225,14 +233,15 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        records = args.handler(args)
+        # render here too: str() of an int above Python's digit limit raises ValueError
+        text = render_records(args.handler(args), args.json)
     except TheoryParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ConfigurationError, ConsistencyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(render_records(records, args.json))
+    print(text)
     return 0
 
 

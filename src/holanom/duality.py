@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import univariate
-from .anomaly import AnomalyReport, theory_report
+from .anomaly import AnomalyReport, anomaly_in_r, classify, theory_report
 from .chern import GaugeGroup, antifundamental, fundamental, trivial
 from .theory import (
     Chiral,
@@ -22,7 +22,6 @@ from .theory import (
     ConsistencyError,
     Theory,
     Vector,
-    interpolate_in_r,
 )
 from .ring import RationalLike
 
@@ -127,13 +126,13 @@ def seiberg_match(spec: SQCDSpec) -> MatchResult:
 
     The magnetic a_hol is affine in the meson charge with slope N_f^2/24, so
     the match condition is a linear equation with one rational root; any
-    other degree is an internal error.  Seven pipeline runs: the electric
-    theory, five interpolation samples and the magnetic check at the root.
+    other degree is an internal error.  Three pipeline runs: the electric
+    theory, the magnetic one in anomaly_in_r and the magnetic check at the root.
     """
     a_electric, c_electric = electric_anomalies(spec)
     template = magnetic_theory(spec, 0, meson_unknown=True)
-    a_coeffs = interpolate_in_r(template, lambda theory: {"a_hol": theory_report(theory).a_hol})
-    difference = univariate.add(a_coeffs["a_hol"], (-a_electric,))
+    a_coeffs = tuple(classify(a, 2).a_hol for a in anomaly_in_r(template))
+    difference = univariate.add(a_coeffs, (-a_electric,))
     if univariate.degree(difference) != 1:
         raise ConsistencyError(
             f"a_hol match {univariate.format_poly(difference)} = 0 "

@@ -33,7 +33,9 @@ from typing import Iterable, Mapping, Sequence, Union
 Rational = Fraction
 RationalLike = Union[Fraction, int]
 
-_RATIONAL_TOKEN = re.compile(r"[+-]?\d+(?:/\d+)?")
+# ASCII digits only: int() and \d also take non-ASCII digits, and int() underscores
+_INTEGER_TOKEN = re.compile(r"[+-]?[0-9]+")
+_RATIONAL_TOKEN = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 class GeneratorMismatch(ValueError):
@@ -42,6 +44,13 @@ class GeneratorMismatch(ValueError):
 
 class SeriesDomainError(ValueError):
     """exp or log applied to a polynomial with the wrong constant term."""
+
+
+def parse_integer(token: str) -> int:
+    """Parse an optionally signed decimal integer of ASCII digits; reject anything else."""
+    if not _INTEGER_TOKEN.fullmatch(token):
+        raise ValueError(f"malformed integer {token!r}")
+    return int(token)
 
 
 def parse_rational(token: str) -> Fraction:

@@ -8,23 +8,20 @@ supersymmetry multiplets their standard decompositions into those two.
 The table MULTIPLETS holds this map once; validation, theory-file parsing
 and rendering, and the reference table of multiplets all read it.
 
-Anomaly coefficients of a theory with one undetermined R-charge are exact
-polynomials of degree at most 3 in it (the charge enters only through
-exp(-(r+1)/2 * g1), truncated in degree 6).  interpolate_in_r recovers every
-coefficient a caller names from the same four sample theories and verifies
-each against a fifth, so one call costs five evaluations however many
-coefficients it returns.
+Chirals marked as carrying the unknown R-charge r enter the anomaly only
+through exp(-(r+1)/2 * g1), so every anomaly coefficient is a polynomial in
+r of degree at most n+1; anomaly.anomaly_in_r writes those polynomials down
+from the theory pinned at r = 0 and the marked chirals' Chern character.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Mapping, Union
+from typing import Union
 
 from .chern import Atom, FieldContent, GaugeGroup, GaugeRep, Kpow, adjoint
-from .ring import Rational, RationalLike
-from .univariate import Coeffs, evaluate, lagrange_interpolate
+from .ring import RationalLike
 
 
 class ConfigurationError(ValueError):
@@ -183,10 +180,7 @@ def twist_content(theory: Theory) -> FieldContent:
 
 
 # ---------------------------------------------------------------------------
-# exact interpolation in an undetermined R-charge
-
-SAMPLE_POINTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2))
-CHECK_POINT = Fraction(3)
+# the undetermined R-charge
 
 
 def require_unknown_r(theory: Theory) -> None:
@@ -206,28 +200,3 @@ def with_unknown_r(theory: Theory, value: RationalLike) -> Theory:
     )
     return replace(theory, multiplets=multiplets)
 
-
-def interpolate_in_r(
-    theory: Theory, evaluator: Callable[[Theory], Mapping[str, Rational]]
-) -> dict[str, Coeffs]:
-    """Exact cubic polynomial in the unknown R-charge of each named value.
-
-    The evaluator maps a theory to {name: value}.  It is sampled at four
-    rational nodes and every name is Lagrange-interpolated from those
-    samples; each result is then confirmed at a held-out fifth node, where a
-    mismatch means that value is not cubic in r and is reported as an
-    internal error.
-    """
-    require_unknown_r(theory)
-    samples = [(x, evaluator(with_unknown_r(theory, x))) for x in SAMPLE_POINTS]
-    checked = evaluator(with_unknown_r(theory, CHECK_POINT))
-    polynomials = {}
-    for name, value in checked.items():
-        coeffs = lagrange_interpolate([(x, Fraction(values[name])) for x, values in samples])
-        if evaluate(coeffs, CHECK_POINT) != Fraction(value):
-            raise ConsistencyError(
-                f"interpolated polynomial of {name} fails the held-out check; "
-                "the evaluator is not polynomial of degree <= 3 in r"
-            )
-        polynomials[name] = coeffs
-    return polynomials

@@ -40,7 +40,7 @@ from .chern import (
     trivial,
 )
 from .theory import MULTIPLETS, Chiral, Multiplet, Raw, Theory, multiplet_keyword, multiplet_uses
-from .ring import parse_rational, format_rational
+from .ring import format_rational, parse_integer, parse_rational
 
 
 class TheoryParseError(ValueError):
@@ -84,7 +84,7 @@ class _Tokens:
     def integer(self, what: str) -> int:
         token = self.take(what)
         try:
-            return int(token)
+            return parse_integer(token)
         except ValueError:
             raise TheoryParseError(self.line_no, f"{what} must be an integer, got {token!r}") from None
 

@@ -2,9 +2,8 @@
 
 Coefficients are stored in ascending powers as a tuple of Fractions with no
 trailing zeros; the zero polynomial is the empty tuple.  These are the
-polynomials in the unknown R-charge r: exact Lagrange interpolation,
-division and gcd, complete rational root finding by Sturm-sequence
-isolation, and rendering in r.
+polynomials in the unknown R-charge r: sums, division and gcd, complete
+rational root finding by Sturm-sequence isolation, and rendering in r.
 """
 
 from __future__ import annotations
@@ -49,37 +48,6 @@ def add(a: Coeffs, b: Coeffs) -> Coeffs:
 
 def scale(a: Coeffs, s: Fraction) -> Coeffs:
     return normalize([c * s for c in a])
-
-
-def multiply(a: Coeffs, b: Coeffs) -> Coeffs:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return normalize(out)
-
-
-def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Coeffs:
-    """The unique polynomial of degree < len(points) through the given points.
-
-    Nodes must be pairwise distinct; everything is exact.
-    """
-    xs = [Fraction(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    total: Coeffs = ()
-    for i, (xi, yi) in enumerate(points):
-        basis: Coeffs = (Fraction(1),)
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = multiply(basis, (-Fraction(xj), Fraction(1)))
-            denom *= xi - xj
-        total = add(total, scale(basis, Fraction(yi) / denom))
-    return total
 
 
 def _derivative(a: Coeffs) -> Coeffs:

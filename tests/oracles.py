@@ -5,14 +5,15 @@ possible (dense dicts keyed by exponent tuples, no code shared with the
 package) so that expected values are pinned by something that cannot share
 a bug with the implementation under test.  The few helpers that build
 package objects (_newton, ch_from_c, wedge_total,
-pushforward_curve_square_zero) do so the long way, by formulas the package
-itself no longer uses.
+pushforward_curve_square_zero, interpolate_in_r) do so the long way, by
+formulas the package itself no longer uses.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import mul
@@ -20,6 +21,7 @@ from typing import Sequence
 
 from holanom.chern import COTANGENT, Atom, FieldContent, GaugeRep, Kpow
 from holanom.ring import GeneratorMismatch, GeneratorSet, GradedPoly
+from holanom.theory import Chiral, ConfigurationError, ConsistencyError
 
 _GRAV_NAME = re.compile(r"g(\d+)")
 
@@ -415,6 +417,66 @@ def rational_roots_by_divisors(coeffs) -> list[Fraction]:
                     if _horner(coeffs, candidate) == 0:
                         roots.add(candidate)
     return sorted(roots)
+
+
+# ---------------------------------------------------------------------------
+# polynomials in the unknown R-charge by sampling
+
+
+def lagrange_interpolate(points) -> tuple[Fraction, ...]:
+    """The unique polynomial of degree < len(points) through the given (x, y) points.
+
+    Ascending coefficients with no trailing zeros; nodes must be pairwise
+    distinct.  Each Lagrange basis polynomial is built by multiplying out
+    its linear factors one at a time.
+    """
+    xs = [Fraction(x) for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation nodes must be distinct")
+    total = [Fraction(0)] * len(xs)
+    for i, (xi, yi) in enumerate(points):
+        basis, denominator = [Fraction(1)], Fraction(1)
+        for j, xj in enumerate(xs):
+            if j != i:
+                # basis * (x - xj)
+                basis = [lo - xj * hi for lo, hi in zip([Fraction(0)] + basis, basis + [Fraction(0)])]
+                denominator *= xi - xj
+        total = [t + Fraction(yi) / denominator * c for t, c in zip(total, basis)]
+    while total and total[-1] == 0:
+        total.pop()
+    return tuple(total)
+
+
+SAMPLE_POINTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2))
+CHECK_POINT = Fraction(3)
+
+
+def interpolate_in_r(theory, evaluator) -> dict:
+    """Exact cubic polynomial in the unknown R-charge of each value the evaluator names.
+
+    The evaluator maps a theory to {name: value}.  It is sampled with every
+    marked chiral pinned at four rational nodes, and every name is
+    Lagrange-interpolated from those samples; each result is then confirmed
+    at a held-out fifth node, where a mismatch raises ConsistencyError: that
+    value is not cubic in r.
+    """
+    if not any(isinstance(m, Chiral) and m.unknown_r for m in theory.multiplets):
+        raise ConfigurationError("no multiplet is marked as carrying the unknown R-charge")
+
+    def pinned(x):
+        return replace(theory, multiplets=tuple(
+            replace(m, r=x, unknown_r=False) if isinstance(m, Chiral) and m.unknown_r else m
+            for m in theory.multiplets
+        ))
+
+    samples = [(x, evaluator(pinned(x))) for x in SAMPLE_POINTS]
+    polynomials = {}
+    for name, value in evaluator(pinned(CHECK_POINT)).items():
+        coeffs = lagrange_interpolate([(x, values[name]) for x, values in samples])
+        if _horner(coeffs, CHECK_POINT) != value:
+            raise ConsistencyError(f"{name} fails the held-out check: it is not cubic in r")
+        polynomials[name] = coeffs
+    return polynomials
 
 
 # ---------------------------------------------------------------------------

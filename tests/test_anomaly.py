@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import random
 from fractions import Fraction as F
 
@@ -9,6 +10,7 @@ import pytest
 
 from holanom import anomaly
 from holanom.anomaly import (
+    anomaly_in_r,
     anomaly_polynomial,
     classify,
     context_for_content,
@@ -25,6 +27,7 @@ from holanom.anomaly import (
     twist_substitute,
 )
 from holanom.chern import (
+    COTANGENT,
     Atom,
     FieldContent,
     GaugeGroup,
@@ -42,18 +45,22 @@ from holanom.chern import (
     untwisted_context,
 )
 from holanom.duality import SQCDSpec, seiberg_match
-from holanom.ring import GeneratorMismatch, GradedPoly
+from holanom.ring import GeneratorMismatch, GradedPoly, homogeneous_monomials
 from holanom.theory import (
     Chiral,
     ConfigurationError,
+    Hyper,
+    N2Vector,
+    N4Vector,
+    Raw,
     Theory,
     Vector,
     twist_content,
     with_unknown_r,
 )
-from holanom.univariate import evaluate
+from holanom.univariate import evaluate, normalize
 
-from oracles import random_rational
+from oracles import interpolate_in_r, random_rational
 
 CTX2 = gravitational_context(2)
 
@@ -471,11 +478,83 @@ def test_solve_r_all_mixed_polynomials_match_the_pipeline():
             assert evaluate(coeffs, r) == report.mixed.get(name, 0)
 
 
+def _random_marked_theory(rng, seen):
+    """A dimension-2 theory with 1-3 marked chirals, in one of the four twist contexts.
+
+    Fixed vectors, chirals, hypers and raw atoms ride along; reps may be
+    SU(N)-valued and charged, and copies reach 10^6.  seen counts what was
+    drawn.
+    """
+    su = rng.choice([2, 3, 5]) if rng.random() < 0.5 else None
+    abelian = rng.random() < 0.5
+    seen[("context", su is not None, abelian)] += 1
+
+    def rep():
+        base = rng.choice([trivial(rng.randint(1, 4))] + (
+            [fundamental(su), antifundamental(su), adjoint(su)] if su else []))
+        q = rng.choice([0, random_rational(rng, 5, 3)]) if abelian else 0
+        seen["su rep"] += bool(base.t2)
+        seen["charged rep"] += bool(q)
+        return GaugeRep(base.dim, base.t2, base.t3, q)
+
+    def copies():
+        count = rng.choice([1, rng.randint(2, 9), rng.randint(10, 10**6)])
+        seen["copies >= 10^5"] += count >= 10**5
+        return count
+
+    multiplets = [Chiral(random_rational(rng), rep(), copies(), unknown_r=True)
+                  for _ in range(rng.randint(1, 3))]
+    if su and rng.random() < 0.6:
+        multiplets.append(rng.choice([Vector, N2Vector, N4Vector])())
+        seen["vector"] += 1
+    for _ in range(rng.randint(0, 2)):
+        kind = rng.choice(["chiral", "hyper", "raw"])
+        seen[kind] += 1
+        if kind == "chiral":
+            multiplets.append(Chiral(random_rational(rng), rep(), copies()))
+        elif kind == "hyper":
+            multiplets.append(Hyper(rep(), copies()))
+        else:
+            geom = rng.choice([Kpow(random_rational(rng, 7, 4)), TANGENT, COTANGENT])
+            atom = Atom(geom, rep(), rng.choice(["even", "odd"]))
+            multiplets.append(Raw(FieldContent(2, ((rng.choice([-3, -1, 1, 2]), atom),))))
+    rng.shuffle(multiplets)
+    return Theory(gauge=GaugeGroup(su=su, abelian=abelian), multiplets=tuple(multiplets))
+
+
+def test_anomaly_in_r_matches_the_interpolation_oracle():
+    rng = random.Random(12)
+    seen = collections.Counter()
+    for _ in range(200):
+        theory = _random_marked_theory(rng, seen)
+        ctx = context_for_theory(theory)
+        monomials = homogeneous_monomials(ctx, 6)
+
+        def coefficients(instance):
+            poly = anomaly_polynomial(twist_content(instance), ctx)
+            return {e: poly.coefficient(e) for e in monomials}
+
+        expected = interpolate_in_r(theory, coefficients)
+        found = anomaly_in_r(theory)
+        assert len(found) == 4  # degree <= 3 in r
+        assert all(a.ctx == ctx and a.homogeneous_degree() in (0, 6) for a in found)
+        for e in monomials:
+            assert normalize([a.coefficient(e) for a in found]) == expected[e], (theory, e)
+    contexts = [key for key in seen if key[0] == "context"]
+    assert len(contexts) == 4
+    assert min(seen.values()) >= 20, seen
+
+
+def test_anomaly_in_r_requires_a_marked_chiral():
+    with pytest.raises(ConfigurationError):
+        anomaly_in_r(Theory(multiplets=(Chiral(F(0), trivial(1)),)))
+
+
 @pytest.mark.parametrize(
     "call,runs",
     [
-        (lambda: solve_r(_charged_sqcd_template(3, 5)), 5),
-        (lambda: seiberg_match(SQCDSpec(3, 5)), 7),
+        (lambda: solve_r(_charged_sqcd_template(3, 5)), 1),
+        (lambda: seiberg_match(SQCDSpec(3, 5)), 3),
     ],
     ids=["solve_r-su3xu1-all-mixed", "seiberg_match-3-5"],
 )

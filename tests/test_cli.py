@@ -200,6 +200,28 @@ def test_exit_code_usage_error(capsys):
     assert run(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("value", ["\uff13", "\u0663", "1_0", " 3"])
+def test_integer_options_take_ascii_digits_only(capsys, value):
+    for argv in (["--colors", value, "--flavors", "5"], ["--colors", "2", "--flavors", value]):
+        assert run(["seiberg", *argv]) == 2
+        assert f"invalid int value: {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]])
+def test_compute_with_a_coefficient_above_the_str_digit_limit_exits_cleanly(capsys, flag):
+    # 3000-digit r and copies give coefficients far above the 4300 digits
+    # that str() of an int allows by default, where the interpreter has a limit
+    path = Path(__file__).resolve().parent / "golden" / "huge_coefficient.th"
+    code = run(["compute", str(path), *flag])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 1
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 def test_compute_dimension_one_report(tmp_path, capsys):
     path = tmp_path / "ghostless.th"
     path.write_text(

@@ -16,6 +16,7 @@ from holanom.anomaly import (
     physical_ac,
     t_background_obstruction,
 )
+from holanom.chern import gravitational_context
 from holanom.duality import (
     SQCDSpec,
     electric_anomalies,
@@ -25,6 +26,7 @@ from holanom.duality import (
     quark_charge,
     seiberg_match,
 )
+from holanom.ring import GradedPoly
 from holanom.theory import Chiral, ConfigurationError, ConsistencyError, twist_content
 
 from oracles import random_rational
@@ -126,7 +128,8 @@ def test_seiberg_match_instances(nc, nf, r_m):
 def test_seiberg_match_rejects_a_constant_magnetic_a_hol(monkeypatch, equal_to_electric):
     spec = SQCDSpec(3, 5)
     a_hol = electric_anomalies(spec)[0] if equal_to_electric else F(1, 24)
-    monkeypatch.setattr(duality, "interpolate_in_r", lambda theory, evaluator: {"a_hol": (a_hol,)})
+    constant = GradedPoly(gravitational_context(2), {(1, 1): a_hol})  # a_hol * g1*g2
+    monkeypatch.setattr(duality, "anomaly_in_r", lambda theory: [constant])
     with pytest.raises(ConsistencyError, match="not linear"):
         seiberg_match(spec)
 

@@ -84,6 +84,9 @@ CASES = [
     "compactify line.th",
     "compactify line.th --fiber-chi 1/0",
     "compute sqcd.th --bogus",
+    "compute copies_underscore.th",
+    "compute dimension_fullwidth.th",
+    "compute r_non_ascii_digits.th",
 ]
 
 

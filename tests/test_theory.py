@@ -1,4 +1,4 @@
-"""Theory descriptions, the twist map, and exact interpolation in R-charge."""
+"""Theory descriptions, the twist map, and the interpolation oracle in R-charge."""
 
 from __future__ import annotations
 
@@ -31,13 +31,12 @@ from holanom.theory import (
     Theory,
     Vector,
     chiral_twist_power,
-    interpolate_in_r,
     twist_content,
     with_unknown_r,
 )
 from holanom.theoryfile import parse_theory_file, render_theory
 
-from oracles import random_rational
+from oracles import interpolate_in_r, random_rational
 
 
 def test_twist_pure_vector():
