@@ -37,7 +37,6 @@ from .chern import (
     untwisted_context,
 )
 from .ring import (
-    GeneratorMismatch,
     GeneratorSet,
     GradedPoly,
     Rational,
@@ -242,11 +241,6 @@ def r_symmetry_polynomial(tr_r: RationalLike, tr_r3: RationalLike) -> GradedPoly
 
 def twist_substitute(poly: GradedPoly) -> GradedPoly:
     """Break the frame to the unitary subgroup and twist: tc1 -> -g1/2, p1 -> 2 g2."""
-    allowed = {"tc1", "p1"}
-    for exponents, _ in poly.terms():
-        for name, e in zip(poly.ctx.names, exponents):
-            if e and name not in allowed:
-                raise GeneratorMismatch(f"twist substitution does not accept {name!r}")
     target = gravitational_context(2)
     images = {
         "tc1": GradedPoly.generator(target, "g1") * Fraction(-1, 2),

@@ -94,7 +94,7 @@ class GaugeGroup:
 
     def __post_init__(self):
         if self.su is not None and self.su < 2:
-            raise ValueError(f"SU(N) needs N >= 2, got N = {self.su}")
+            raise ValueError("gauge su needs N >= 2")
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ class Atom:
 
     def __post_init__(self):
         if self.parity not in ("even", "odd"):
-            raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
+            raise ValueError(f"parity must be even or odd, got {self.parity!r}")
 
     @property
     def sign(self) -> int:

@@ -233,7 +233,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        # render here too: str() of an int above Python's digit limit raises ValueError
+        # render here too: a number past the digit limit refuses to print (ring.format_rational)
         text = render_records(args.handler(args), args.json)
     except TheoryParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

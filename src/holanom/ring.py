@@ -24,6 +24,7 @@ the text form of str(GradedPoly) and of univariate.format_poly.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -46,11 +47,22 @@ class SeriesDomainError(ValueError):
     """exp or log applied to a polynomial with the wrong constant term."""
 
 
+def _decimal(digits: str, subject: str = "") -> int:
+    """int() of ASCII digits.  It fails only past Python's digit limit, whose own
+    message varies by version and names a setting a CLI user cannot reach."""
+    try:
+        return int(digits)
+    except ValueError:
+        size, limit = len(digits.lstrip("+-")), sys.get_int_max_str_digits()
+        raise ValueError(f"{subject}has {size} digits, over the {limit}-digit limit") from None
+
+
 def parse_integer(token: str) -> int:
-    """Parse an optionally signed decimal integer of ASCII digits; reject anything else."""
+    """Parse an optionally signed decimal integer of ASCII digits; reject anything else.
+    The messages are predicates ("must be an integer, got 'x'"); the caller names the subject."""
     if not _INTEGER_TOKEN.fullmatch(token):
-        raise ValueError(f"malformed integer {token!r}")
-    return int(token)
+        raise ValueError(f"must be an integer, got {token!r}")
+    return _decimal(token)
 
 
 def parse_rational(token: str) -> Fraction:
@@ -61,14 +73,20 @@ def parse_rational(token: str) -> Fraction:
     """
     if not _RATIONAL_TOKEN.fullmatch(token):
         raise ValueError(f"malformed rational {token!r} (expected p/q or integer)")
-    if "/" in token and int(token.split("/")[1]) == 0:
+    numerator, _, denominator = token.partition("/")
+    p, q = _decimal(numerator, "numerator "), _decimal(denominator or "1", "denominator ")
+    if q == 0:
         raise ValueError(f"malformed rational {token!r} (zero denominator)")
-    return Fraction(token)
+    return Fraction(p, q)
 
 
 def format_rational(value: RationalLike) -> str:
     """Render a rational as "p/q", or "p" when the denominator is 1."""
-    return str(Fraction(value))
+    try:
+        return str(Fraction(value))
+    except ValueError:  # past the digit limit, worded as in _decimal
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"a result has more than {limit} digits, too many to print") from None
 
 
 def render_sum(terms: Iterable[tuple[RationalLike, str]]) -> str:

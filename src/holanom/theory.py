@@ -8,6 +8,10 @@ supersymmetry multiplets their standard decompositions into those two.
 The table MULTIPLETS holds this map once; validation, theory-file parsing
 and rendering, and the reference table of multiplets all read it.
 
+Theory decides what is legal: each field rule lives in the dataclass that
+owns the field, and Theory checks the dimension and every multiplet, raw
+content included.  The theory-file parser only reads; it states no rule.
+
 Chirals marked as carrying the unknown R-charge r enter the anomaly only
 through exp(-(r+1)/2 * g1), so every anomaly coefficient is a polynomial in
 r of degree at most n+1; anomaly.anomaly_in_r writes those polynomials down
@@ -32,6 +36,12 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
 
 
+def _check_copies(copies: int) -> None:
+    """The one copies rule, for chirals, hypers and theory-file raw lines."""
+    if copies < 1:
+        raise ValueError("copies must be at least 1")
+
+
 @dataclass(frozen=True)
 class Chiral:
     """N=1 chiral multiplet of R-charge r in a gauge representation."""
@@ -43,8 +53,7 @@ class Chiral:
 
     def __post_init__(self):
         object.__setattr__(self, "r", Fraction(self.r))
-        if self.copies < 1:
-            raise ValueError("copies must be positive")
+        _check_copies(self.copies)
 
 
 @dataclass(frozen=True)
@@ -65,8 +74,7 @@ class Hyper:
     copies: int = 1
 
     def __post_init__(self):
-        if self.copies < 1:
-            raise ValueError("copies must be positive")
+        _check_copies(self.copies)
 
 
 @dataclass(frozen=True)
@@ -127,27 +135,25 @@ class Theory:
 
     def __post_init__(self):
         object.__setattr__(self, "multiplets", tuple(self.multiplets))
+        if self.dimension < 1:
+            raise ConfigurationError("dimension must be at least 1")
         for m in self.multiplets:
             if isinstance(m, Raw):
                 if m.content.dimension != self.dimension:
                     raise ConfigurationError("raw content dimension does not match the theory")
-                continue
-            if self.dimension != 2:
-                raise ConfigurationError(
-                    f"built-in multiplet {type(m).__name__} requires dimension 2"
-                )
-            if multiplet_uses(multiplet_keyword(m), "adj") and self.gauge.su is None:
-                raise ConfigurationError(f"{type(m).__name__} requires a simple gauge group")
-            rep = getattr(m, "rep", None)
-            if rep is not None:
+                reps = [atom.rep for _, atom in m.content.pieces]
+            else:
+                keyword = multiplet_keyword(m)
+                if multiplet_uses(keyword, "adj") and self.gauge.su is None:
+                    raise ConfigurationError(f"{keyword} multiplet requires 'gauge su <N>'")
+                reps = [m.rep] if hasattr(m, "rep") else []
+            for rep in reps:
                 if (rep.t2 != 0 or rep.t3 != 0) and self.gauge.su is None:
-                    raise ConfigurationError(
-                        "non-trivial gauge representation requires a simple gauge group"
-                    )
+                    raise ConfigurationError("SU(N) representation requires 'gauge su <N>'")
                 if rep.q != 0 and not self.gauge.abelian:
-                    raise ConfigurationError(
-                        "charged representation requires the abelian background"
-                    )
+                    raise ConfigurationError("charge requires 'flavor-u1 on'")
+            if not isinstance(m, Raw) and self.dimension != 2:
+                raise ConfigurationError("built-in multiplets require dimension 2")
 
 
 def chiral_twist_power(r: RationalLike) -> Fraction:

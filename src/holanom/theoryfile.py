@@ -20,6 +20,10 @@ whitespace-separated, rationals are "p/q" or integers):
 relative to multiplets but at most once each.  `unknown-r` indices are
 1-based in order of multiplet declaration and must point at chiral
 multiplets.  Parsing and rendering are mutually inverse on canonical form.
+
+The parser only reads tokens, numbers and headers, names representations
+(which needs N) and resolves `unknown-r` marks.  Theory decides what is
+legal; its refusal is reported on the declaring line, in the API's words.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .chern import (
     trivial,
 )
 from .theory import MULTIPLETS, Chiral, Multiplet, Raw, Theory, multiplet_keyword, multiplet_uses
+from .theory import _check_copies
 from .ring import format_rational, parse_integer, parse_rational
 
 
@@ -85,8 +90,8 @@ class _Tokens:
         token = self.take(what)
         try:
             return parse_integer(token)
-        except ValueError:
-            raise TheoryParseError(self.line_no, f"{what} must be an integer, got {token!r}") from None
+        except ValueError as exc:
+            raise TheoryParseError(self.line_no, f"{what} {exc}") from None
 
     def done(self):
         if self.peek() is not None:
@@ -104,7 +109,19 @@ def _declaration_lines(text: str):
 _NAMED_REPS = {"fundamental": fundamental, "antifundamental": antifundamental, "adjoint": adjoint}
 
 
-def _parse_rep(cursor: _Tokens, gauge: GaugeGroup) -> GaugeRep:
+def _on_line(line_no: int, build, *args):
+    """build(*args), with a ValueError raised while it builds a declaration's value
+    reported as a TheoryParseError on the declaring line."""
+    try:
+        return build(*args)
+    except TheoryParseError:
+        raise
+    except ValueError as exc:
+        raise TheoryParseError(line_no, str(exc)) from None
+
+
+def _parse_rep(cursor: _Tokens, gauge: GaugeGroup) -> tuple[GaugeRep, int]:
+    """`rep <REP> [charge <p/q>] [copies <k>]`: the representation and its copies."""
     cursor.expect("rep")
     kind = cursor.take("representation name")
     if kind in _NAMED_REPS:
@@ -114,69 +131,49 @@ def _parse_rep(cursor: _Tokens, gauge: GaugeGroup) -> GaugeRep:
             )
         rep = _NAMED_REPS[kind](gauge.su)
     elif kind == "trivial":
-        dim = cursor.integer("trivial representation dimension")
-        if dim < 1:
-            raise TheoryParseError(cursor.line_no, "representation dimension must be positive")
-        rep = trivial(dim)
+        rep = trivial(cursor.integer("trivial representation dimension"))
     else:
         raise TheoryParseError(cursor.line_no, f"unknown representation {kind!r}")
     if cursor.peek() == "charge":
         cursor.take("charge")
-        q = cursor.rational("charge value")
-        if q != 0 and not gauge.abelian:
-            raise TheoryParseError(
-                cursor.line_no, "charge requires 'flavor-u1 on'"
-            )
-        rep = GaugeRep(rep.dim, rep.t2, rep.t3, q)
-    return rep
-
-
-def _parse_copies(cursor: _Tokens) -> int:
+        rep = GaugeRep(rep.dim, rep.t2, rep.t3, cursor.rational("charge value"))
     if cursor.peek() == "copies":
         cursor.take("copies")
-        copies = cursor.integer("copies count")
-        if copies < 1:
-            raise TheoryParseError(cursor.line_no, "copies must be at least 1")
-        return copies
-    return 1
+        return rep, cursor.integer("copies count")
+    return rep, 1
 
 
 def _parse_multiplet(cursor: _Tokens, gauge: GaugeGroup, dimension: int) -> Multiplet:
     kind = cursor.take("multiplet kind")
     if kind in MULTIPLETS:
-        if multiplet_uses(kind, "adj") and gauge.su is None:
-            raise TheoryParseError(cursor.line_no, f"{kind} multiplet requires 'gauge su <N>'")
         fields = {}
         if multiplet_uses(kind, "r"):
             cursor.expect("r")
             fields["r"] = cursor.rational("R-charge")
         if multiplet_uses(kind, "rep"):
-            fields["rep"] = _parse_rep(cursor, gauge)
-            fields["copies"] = _parse_copies(cursor)
+            fields["rep"], fields["copies"] = _parse_rep(cursor, gauge)
         cursor.done()
-        if dimension != 2:
-            raise TheoryParseError(cursor.line_no, "built-in multiplets require dimension 2")
-        return MULTIPLETS[kind][0](**fields)
-    if kind == "raw":
+        m = MULTIPLETS[kind][0](**fields)
+    elif kind == "raw":
         cursor.expect("parity")
         parity = cursor.take("parity")
-        if parity not in ("even", "odd"):
-            raise TheoryParseError(cursor.line_no, f"parity must be even or odd, got {parity!r}")
         cursor.expect("k")
         power = cursor.rational("canonical-bundle power")
-        rep = _parse_rep(cursor, gauge)
-        copies = _parse_copies(cursor)
+        rep, copies = _parse_rep(cursor, gauge)
         cursor.done()
         atom = Atom(Kpow(power), rep, parity)
-        return Raw(FieldContent(dimension, ((copies, atom),)))
-    raise TheoryParseError(cursor.line_no, f"unknown multiplet kind {kind!r}")
+        _check_copies(copies)
+        m = Raw(FieldContent(dimension, ((copies, atom),)))
+    else:
+        raise TheoryParseError(cursor.line_no, f"unknown multiplet kind {kind!r}")
+    Theory(dimension, gauge, (m,))  # the theory's rules for this multiplet, on its line
+    return m
 
 
 def parse_theory_file(text: str) -> Theory:
     """Parse a theory file into a validated Theory; errors carry line numbers."""
-    dimension: Union[int, None] = None
-    gauge_su: Union[int, None] = None
-    abelian = False
+    dimension = 2
+    gauge = GaugeGroup()
     declared: set[str] = set()
     multiplet_lines: list[tuple[int, list[str]]] = []
     unknown_marks: list[tuple[int, int]] = []
@@ -190,37 +187,31 @@ def parse_theory_file(text: str) -> Theory:
             declared.add(keyword)
         if keyword == "dimension":
             dimension = cursor.integer("dimension")
-            if dimension < 1:
-                raise TheoryParseError(line_no, "dimension must be at least 1")
-            cursor.done()
+            _on_line(line_no, Theory, dimension)
         elif keyword == "gauge":
             kind = cursor.take("gauge kind")
             if kind == "su":
-                gauge_su = cursor.integer("SU rank")
-                if gauge_su < 2:
-                    raise TheoryParseError(line_no, "gauge su needs N >= 2")
+                gauge = _on_line(line_no, GaugeGroup, cursor.integer("SU rank"), gauge.abelian)
             elif kind != "none":
                 raise TheoryParseError(line_no, f"unknown gauge kind {kind!r}")
-            cursor.done()
         elif keyword == "flavor-u1":
             state = cursor.take("flavor-u1 state")
             if state not in ("on", "off"):
                 raise TheoryParseError(line_no, f"flavor-u1 must be on or off, got {state!r}")
-            abelian = state == "on"
-            cursor.done()
+            gauge = GaugeGroup(gauge.su, state == "on")
         elif keyword == "multiplet":
             multiplet_lines.append((line_no, tokens[1:]))
+            continue
         elif keyword == "unknown-r":
             index = cursor.integer("multiplet index")
-            cursor.done()
             unknown_marks.append((line_no, index))
         else:
             raise TheoryParseError(line_no, f"unknown keyword {keyword!r}")
+        cursor.done()
 
-    dimension = 2 if dimension is None else dimension
-    gauge = GaugeGroup(su=gauge_su, abelian=abelian)
-
-    multiplets = [_parse_multiplet(_Tokens(n, t), gauge, dimension) for n, t in multiplet_lines]
+    multiplets = [
+        _on_line(n, _parse_multiplet, _Tokens(n, t), gauge, dimension) for n, t in multiplet_lines
+    ]
 
     for line_no, index in unknown_marks:
         if not 1 <= index <= len(multiplets):
@@ -239,22 +230,17 @@ def parse_theory_file(text: str) -> Theory:
 # canonical rendering
 
 
-def _render_rep(rep: GaugeRep, gauge: GaugeGroup) -> str:
-    base = None
-    if gauge.su is not None:
-        for name, builder in _NAMED_REPS.items():
-            reference = builder(gauge.su)
-            if (rep.dim, rep.t2, rep.t3) == (reference.dim, reference.t2, reference.t3):
-                base = name
-                break
-    if base is None:
-        if rep.t2 == 0 and rep.t3 == 0:
-            base = f"trivial {rep.dim}"
-        else:
+def _render_rep(rep: GaugeRep, copies: int, gauge: GaugeGroup) -> str:
+    """` rep <REP> [charge <p/q>] [copies <k>]`, as _parse_rep reads it."""
+    base = f"trivial {rep.dim}"
+    if rep.t2 != 0 or rep.t3 != 0:  # an SU(N) representation, so the theory has gauge su N
+        names = [n for n, build in _NAMED_REPS.items() if replace(build(gauge.su), q=rep.q) == rep]
+        if not names:
             raise ValueError(f"representation {rep} has no theory-file spelling")
+        base = names[0]
     if rep.q != 0:
         base += f" charge {format_rational(rep.q)}"
-    return base
+    return f" rep {base}" + (f" copies {copies}" if copies > 1 else "")
 
 
 def render_theory(theory: Theory) -> str:
@@ -263,8 +249,8 @@ def render_theory(theory: Theory) -> str:
     lines.append(f"gauge su {theory.gauge.su}" if theory.gauge.su is not None else "gauge none")
     if theory.gauge.abelian:
         lines.append("flavor-u1 on")
+    headers = len(lines)
     unknown: list[int] = []
-    rendered = 0  # unknown-r indices count rendered multiplet lines
     for m in theory.multiplets:
         if isinstance(m, Raw):
             for copies, atom in m.content.pieces:
@@ -272,27 +258,19 @@ def render_theory(theory: Theory) -> str:
                     atom, copies = atom.flipped(), -copies
                 if not isinstance(atom.geom, Kpow):
                     raise ValueError("tangent-type raw content has no theory-file spelling")
-                line = (
+                lines.append(
                     f"multiplet raw parity {atom.parity} k {format_rational(atom.geom.power)}"
-                    f" rep {_render_rep(atom.rep, theory.gauge)}"
+                    + _render_rep(atom.rep, copies, theory.gauge)
                 )
-                if copies > 1:
-                    line += f" copies {copies}"
-                lines.append(line)
-                rendered += 1
             continue
         keyword = multiplet_keyword(m)
         line = f"multiplet {keyword}"
         if multiplet_uses(keyword, "r"):
             line += f" r {format_rational(m.r)}"
         if multiplet_uses(keyword, "rep"):
-            line += f" rep {_render_rep(m.rep, theory.gauge)}"
-            if m.copies > 1:
-                line += f" copies {m.copies}"
+            line += _render_rep(m.rep, m.copies, theory.gauge)
         lines.append(line)
-        rendered += 1
         if getattr(m, "unknown_r", False):
-            unknown.append(rendered)
-    for position in unknown:
-        lines.append(f"unknown-r {position}")
+            unknown.append(len(lines) - headers)  # unknown-r indices count multiplet lines
+    lines += [f"unknown-r {position}" for position in unknown]
     return "\n".join(lines) + "\n"

@@ -87,6 +87,9 @@ CASES = [
     "compute copies_underscore.th",
     "compute dimension_fullwidth.th",
     "compute r_non_ascii_digits.th",
+    "compute huge_coefficient.th",
+    "compute copies_over_digit_limit.th",
+    "compute r_over_digit_limit.th",
 ]
 
 

@@ -218,6 +218,23 @@ def test_raw_dimension_mismatch():
         Theory(dimension=2, multiplets=(Raw(content),))
 
 
+def test_theory_dimension_must_be_at_least_one():
+    for dimension in (0, -1):
+        with pytest.raises(ConfigurationError, match="dimension must be at least 1"):
+            Theory(dimension=dimension)
+
+
+def test_raw_atoms_meet_the_gauge_rules():
+    charged = Raw(FieldContent(2, ((1, Atom(TRIVIAL, trivial(1, F(1, 2)), "even")),)))
+    with pytest.raises(ConfigurationError, match="'flavor-u1 on'"):
+        Theory(multiplets=(charged,))
+    Theory(gauge=GaugeGroup(abelian=True), multiplets=(charged,))
+    su_valued = Raw(FieldContent(2, ((1, Atom(Kpow(F(1, 3)), fundamental(3), "odd")),)))
+    with pytest.raises(ConfigurationError, match="'gauge su <N>'"):
+        Theory(gauge=GaugeGroup(abelian=True), multiplets=(su_valued,))
+    Theory(gauge=GaugeGroup(su=3), multiplets=(su_valued,))
+
+
 # ---------------------------------------------------------------------------
 # interpolation in the unknown R-charge
 
