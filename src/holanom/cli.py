@@ -33,7 +33,7 @@ from .anomaly import (
 )
 from .chern import pushforward_curve
 from .duality import SQCDSpec, electric_report, quark_charge, seiberg_match
-from .ring import format_rational, parse_integer, parse_rational
+from .ring import _INTEGER_TOKEN, format_rational, parse_integer, parse_rational
 from .theory import ConfigurationError, ConsistencyError, Theory
 from .theoryfile import TheoryParseError, parse_theory_file
 
@@ -46,7 +46,9 @@ _BUCKET_PREFIXES = {"gravitational": "grav", "pure_gauge": "gauge", "mixed": "mi
 def _integer_argument(token: str) -> int:
     try:
         return parse_integer(token)
-    except ValueError:
+    except ValueError as exc:
+        if _INTEGER_TOKEN.fullmatch(token):  # well formed, so past the digit limit: not echoed
+            raise argparse.ArgumentTypeError(f"integer {exc}") from None
         # the wording argparse gives for type=int
         raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
 

@@ -126,18 +126,20 @@ def seiberg_match(spec: SQCDSpec) -> MatchResult:
 
     The magnetic a_hol is affine in the meson charge with slope N_f^2/24, so
     the match condition is a linear equation with one rational root; any
-    other degree is an internal error.  Three pipeline runs: the electric
-    theory, the magnetic one in anomaly_in_r and the magnetic check at the root.
+    other degree is an internal error.  The magnetic c_hol is read from the
+    same polynomials in r and evaluated at the root.  Two pipeline runs: the
+    electric theory and the magnetic one in anomaly_in_r.
     """
     a_electric, c_electric = electric_anomalies(spec)
     template = magnetic_theory(spec, 0, meson_unknown=True)
-    a_coeffs = tuple(classify(a, 2).a_hol for a in anomaly_in_r(template))
-    difference = univariate.add(a_coeffs, (-a_electric,))
+    reports = [classify(a, 2) for a in anomaly_in_r(template)]
+    a_magnetic = [report.a_hol for report in reports]
+    difference = univariate.normalize([a_magnetic[0] - a_electric, *a_magnetic[1:]])
     if univariate.degree(difference) != 1:
         raise ConsistencyError(
             f"a_hol match {univariate.format_poly(difference)} = 0 "
             "is not linear in the meson charge r"
         )
     r_meson = -difference[0] / difference[1]
-    _, c_magnetic = magnetic_anomalies(spec, r_meson)
+    c_magnetic = univariate.evaluate([report.c_hol for report in reports], r_meson)
     return MatchResult(r_meson, c_magnetic == c_electric, a_electric, c_electric)

@@ -290,12 +290,6 @@ class GradedPoly:
                 out[key] = out.get(key, Fraction(0)) + ca * cb
         return GradedPoly(ctx, out)
 
-    def max_degree(self) -> int:
-        """Largest degree carrying a non-zero term; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(self.ctx.degree(e) for e in self._terms)
-
     def homogeneous_degree(self) -> Union[int, None]:
         """The common degree of all terms, or None if mixed; 0 for the zero polynomial."""
         degrees = {self.ctx.degree(e) for e in self._terms}

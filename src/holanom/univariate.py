@@ -2,7 +2,7 @@
 
 Coefficients are stored in ascending powers as a tuple of Fractions with no
 trailing zeros; the zero polynomial is the empty tuple.  These are the
-polynomials in the unknown R-charge r: sums, division and gcd, complete
+polynomials in the unknown R-charge r: evaluation, division and gcd, complete
 rational root finding by Sturm-sequence isolation, and rendering in r.
 """
 
@@ -34,16 +34,6 @@ def evaluate(coeffs: Sequence[RationalLike], x: RationalLike) -> RationalLike:
     for c in reversed(coeffs):
         total = total * x + c
     return total
-
-
-def add(a: Coeffs, b: Coeffs) -> Coeffs:
-    n = max(len(a), len(b))
-    return normalize(
-        [
-            (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-            for i in range(n)
-        ]
-    )
 
 
 def scale(a: Coeffs, s: Fraction) -> Coeffs:

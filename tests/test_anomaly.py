@@ -554,7 +554,7 @@ def test_anomaly_in_r_requires_a_marked_chiral():
     "call,runs",
     [
         (lambda: solve_r(_charged_sqcd_template(3, 5)), 1),
-        (lambda: seiberg_match(SQCDSpec(3, 5)), 3),
+        (lambda: seiberg_match(SQCDSpec(3, 5)), 2),
     ],
     ids=["solve_r-su3xu1-all-mixed", "seiberg_match-3-5"],
 )

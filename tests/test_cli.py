@@ -207,6 +207,18 @@ def test_integer_options_take_ascii_digits_only(capsys, value):
         assert f"invalid int value: {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--colors", "--flavors"])
+def test_integer_options_past_the_digit_limit_name_the_size(capsys, option):
+    # a well-formed integer too long for int() is named by its digit count, never echoed
+    argv = ["qcd", "--colors", "3", "--flavors", "3"]
+    argv[argv.index(option) + 1] = "1" * 5000
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 300
+    assert f"argument {option}: integer has 5000 digits" in err
+    assert "1111" not in err
+
+
 @pytest.mark.parametrize("flag", [[], ["--json"]])
 def test_compute_with_a_coefficient_above_the_str_digit_limit_exits_cleanly(capsys, flag):
     # 3000-digit r and copies give coefficients far above the 4300 digits

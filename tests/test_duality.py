@@ -134,6 +134,24 @@ def test_seiberg_match_rejects_a_constant_magnetic_a_hol(monkeypatch, equal_to_e
         seiberg_match(spec)
 
 
+def test_seiberg_match_reads_c_hol_from_the_polynomials_in_r(monkeypatch):
+    # 1*g1^3 added to the r^1 coefficient moves c_hol(r) by r and leaves a_hol(r)
+    # linear: the root stays, and c_hol at it no longer matches the electric one
+    real = duality.anomaly_in_r
+
+    def perturbed(theory):
+        coefficients = real(theory)
+        ctx = coefficients[1].ctx
+        g1_cubed = tuple(3 if name == "g1" else 0 for name in ctx.names)
+        coefficients[1] = coefficients[1] + GradedPoly(ctx, {g1_cubed: F(1)})
+        return coefficients
+
+    monkeypatch.setattr(duality, "anomaly_in_r", perturbed)
+    result = seiberg_match(SQCDSpec(3, 5))
+    assert result.r_meson == F(-1, 5)
+    assert result.matched is False
+
+
 def test_seiberg_match_grid():
     for nc in range(2, 7):
         for nf in range(nc + 2, 9):
