@@ -10,6 +10,7 @@ error, 2 parse error.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import os
 import re
@@ -119,7 +120,15 @@ def _report_records(report: AnomalyReport) -> list[Record]:
 
 
 def _load_theory(path: str) -> Theory:
-    return parse_theory_file(Path(path).read_text())
+    """Parse a theory file, which is UTF-8 text; a leading byte-order mark is ignored."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line of the first bad byte, numbered by str.splitlines as the parser numbers it
+        line_no = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise TheoryParseError(line_no, "not UTF-8 text") from None
+    return parse_theory_file(text)
 
 
 def _cmd_compute(args) -> list[Record]:

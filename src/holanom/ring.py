@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import factorial
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -162,42 +163,32 @@ class GeneratorSet:
         return "*".join(parts) if parts else "1"
 
 
+def _extend(tails, d: int, top: int):
+    """Each (exponents, degree) of tails followed by every exponent of one more generator of
+    degree d that keeps the total within top, largest first; lazy, one stage of a chain."""
+    for e, degree in tails:
+        for m in range((top - degree) // d, -1, -1):
+            yield e + (m,), degree + m * d
+
+
 def homogeneous_monomials(ctx: GeneratorSet, degree: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of the given total degree, in a fixed canonical order.
+    """All exponent tuples of the given total degree, in descending lexicographic order.
 
-    The order is descending lexicographic.  Tuples are built one generator
-    at a time, partition-style: the first exponent runs from degree // d
-    down to 0 and the rest is filled in recursively.  A branch is entered
-    only if the remaining generators can still make up the remaining
-    degree, so the cost is proportional to the number of tuples returned.
+    The exponents of every generator after the first are extended lazily, one generator at
+    a time, in descending order; the first generator's exponent then fills the rest of the
+    degree, and a tail whose remainder that generator's degree does not divide is dropped.
+    One stable sort on the first exponent puts the list in order.  When the first generator
+    has degree 2, as in every twist ring, every tail yields a tuple, so the cost is
+    proportional to the number of tuples returned.
     """
-    degrees = ctx.degrees
-    if degree < 0:
-        return []
-    # reachable[i][r]: some exponents for generators i.. have total degree r
-    reachable = [[r == 0 for r in range(degree + 1)]]
-    for d in reversed(degrees):
-        after = reachable[0]
-        here = after[:]
-        for r in range(d, degree + 1):
-            here[r] = after[r] or here[r - d]
-        reachable.insert(0, here)
-    found: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def extend(i: int, remaining: int):
-        if i == len(degrees):
-            found.append(tuple(prefix))
-            return
-        d, after = degrees[i], reachable[i + 1]
-        for e in range(remaining // d, -1, -1):
-            if after[remaining - e * d]:
-                prefix.append(e)
-                extend(i + 1, remaining - e * d)
-                prefix.pop()
-
-    if reachable[0][degree]:
-        extend(0, degree)
+    if degree < 0 or degree % 2 or not ctx.degrees:  # every generator has even degree
+        return [] if degree else [()]
+    first, *rest = ctx.degrees
+    tails = iter([((), 0)])
+    for d in rest:
+        tails = _extend(tails, d, degree)
+    found = [((degree - t) // first,) + e for e, t in tails if not (degree - t) % first]
+    found.sort(key=itemgetter(0), reverse=True)
     return found
 
 
@@ -272,23 +263,9 @@ class GradedPoly:
         )
 
     def product_component(self, other: "GradedPoly", degree: int) -> "GradedPoly":
-        """The degree-``degree`` component of self * other, without the rest.
-
-        Equal to ``(self * other).component(degree)``: the terms of other
-        are bucketed by degree, and each term of self is paired only with
-        the bucket that completes the degree.
-        """
-        other = self._coerce(other)
-        ctx = self.ctx
-        by_degree: dict[int, list] = {}
-        for eb, cb in other._terms.items():
-            by_degree.setdefault(ctx.degree(eb), []).append((eb, cb))
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in by_degree.get(degree - ctx.degree(ea), ()):
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return GradedPoly(ctx, out)
+        """The degree-``degree`` component of self * other, without the rest; equal to
+        ``(self * other).component(degree)``."""
+        return self._pair(self._coerce(other), (degree,))
 
     def homogeneous_degree(self) -> Union[int, None]:
         """The common degree of all terms, or None if mixed; 0 for the zero polynomial."""
@@ -342,18 +319,29 @@ class GradedPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        cap = self.ctx.cap
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in self._terms.items():
-            da = self.ctx.degree(ea)
-            for eb, cb in other._terms.items():
-                if da + self.ctx.degree(eb) > cap:
-                    continue
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return GradedPoly(self.ctx, out)
+        return self._pair(other, range(0, self.ctx.cap + 1, 2))
 
     __rmul__ = __mul__
+
+    def _pair(self, other: "GradedPoly", degrees: Iterable[int]) -> "GradedPoly":
+        """The part of self * other in the given degrees, the one product loop of the ring.
+
+        The terms of other are bucketed by degree, and each term of self is paired only with
+        the buckets that complete one of the wanted degrees: one lookup per wanted degree,
+        and no pair whose product lands outside them is formed.
+        """
+        ctx = self.ctx
+        by_degree: dict[int, list] = {}
+        for eb, cb in other._terms.items():
+            by_degree.setdefault(ctx.degree(eb), []).append((eb, cb))
+        out: dict[tuple[int, ...], Fraction] = {}
+        for ea, ca in self._terms.items():
+            da = ctx.degree(ea)
+            for degree in degrees:
+                for eb, cb in by_degree.get(degree - da, ()):
+                    key = tuple(map(add, ea, eb))
+                    out[key] = out.get(key, Fraction(0)) + ca * cb
+        return GradedPoly(ctx, out)
 
     def __truediv__(self, scalar) -> "GradedPoly":
         return self * (Fraction(1) / Fraction(scalar))

@@ -97,6 +97,19 @@ def naive_homogeneous_monomials(degrees, degree):
     return sorted(found, reverse=True)
 
 
+def monomial_count(degrees, degree):
+    """Number of monomials of the given weighted degree: the coefficient of t^degree in
+    prod_d 1/(1 - t^d), the Hilbert series of a polynomial ring with generators of these
+    degrees (Stanley, Enumerative Combinatorics I), by the coin-change recursion."""
+    if degree < 0:
+        return 0
+    ways = [1] + [0] * degree
+    for d in degrees:
+        for rest in range(d, degree + 1):
+            ways[rest] += ways[rest - d]
+    return ways[degree]
+
+
 def from_graded(poly):
     """Dump a package polynomial into the naive representation."""
     return {exps: coeff for exps, coeff in poly.terms()}

@@ -45,14 +45,14 @@ multiplet raw parity even k 0 rep trivial 1
 @pytest.fixture
 def sqcd_file(tmp_path):
     path = tmp_path / "sqcd.th"
-    path.write_text(SQCD_TEXT)
+    path.write_text(SQCD_TEXT, encoding="utf-8")
     return str(path)
 
 
 @pytest.fixture
 def line_file(tmp_path):
     path = tmp_path / "line.th"
-    path.write_text(LINE_TEXT)
+    path.write_text(LINE_TEXT, encoding="utf-8")
     return str(path)
 
 
@@ -160,7 +160,8 @@ def test_solve_r_specific_target(sqcd_file, capsys):
 def test_solve_r_unconstrained(tmp_path, capsys):
     path = tmp_path / "free.th"
     path.write_text(
-        "gauge su 2\nmultiplet chiral r 0 rep trivial 1\nunknown-r 1\n"
+        "gauge su 2\nmultiplet chiral r 0 rep trivial 1\nunknown-r 1\n",
+        encoding="utf-8",
     )
     assert run(["solve-r", str(path)]) == 0
     assert _lines(capsys)["unconstrained"] == "true"
@@ -175,7 +176,7 @@ def test_compactify_command(line_file, capsys, chi, expected):
 
 def test_compactify_rejects_gauge_content(tmp_path, capsys):
     path = tmp_path / "gauged.th"
-    path.write_text("gauge su 2\nmultiplet vector\n")
+    path.write_text("gauge su 2\nmultiplet vector\n", encoding="utf-8")
     assert run(["compactify", str(path), "--fiber-chi", "1"]) == 1
 
 
@@ -185,9 +186,21 @@ def test_exit_code_missing_file(capsys):
 
 def test_exit_code_parse_error(tmp_path, capsys):
     path = tmp_path / "broken.th"
-    path.write_text("multiplet chiral r 1/0 rep trivial 1\n")
+    path.write_text("multiplet chiral r 1/0 rep trivial 1\n", encoding="utf-8")
     assert run(["compute", str(path)]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data,line_no",
+    [(b"\xe9\n", 1), (b"dimension 2\r\n# caf\xe9\n", 2), (b"\xef\xbb\xbf# a\rb\r\xff", 3)],
+)
+def test_theory_file_not_utf8_names_the_line(tmp_path, capsys, data, line_no):
+    # numbered as the parser numbers lines, by str.splitlines, after a byte-order mark
+    path = tmp_path / "latin1.th"
+    path.write_bytes(data)
+    assert run(["compute", str(path)]) == 2
+    assert capsys.readouterr().err == f"parse error: line {line_no}: not UTF-8 text\n"
 
 
 def test_exit_code_configuration_error(capsys):
@@ -239,7 +252,8 @@ def test_compute_dimension_one_report(tmp_path, capsys):
     path.write_text(
         "dimension 1\nflavor-u1 on\n"
         "multiplet raw parity even k 0 rep trivial 1\n"
-        "multiplet raw parity odd k 0 rep trivial 1 charge 1\n"
+        "multiplet raw parity odd k 0 rep trivial 1 charge 1\n",
+        encoding="utf-8",
     )
     assert run(["compute", str(path)]) == 0
     records = _lines(capsys)
@@ -253,12 +267,12 @@ def test_compute_dimension_one_report(tmp_path, capsys):
 def test_compute_gauge_anomalous_file_keeps_stderr_empty(tmp_path):
     # a separate interpreter, so any Python warning would print to its stderr
     path = tmp_path / "anomalous.th"
-    path.write_text("gauge su 3\nmultiplet chiral r 0 rep fundamental\n")
+    path.write_text("gauge su 3\nmultiplet chiral r 0 rep fundamental\n", encoding="utf-8")
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
         [sys.executable, "-m", "holanom.cli", "compute", str(path)],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         env=os.environ | {"PYTHONPATH": src},
         timeout=60,
     )
@@ -281,7 +295,7 @@ def test_solve_r_with_17_digit_coefficients_finishes(argv, roots):
     done = subprocess.run(
         [sys.executable, "-m", "holanom.cli", *argv],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         cwd=root / "tests" / "golden",
         env=os.environ | {"PYTHONPATH": str(root / "src")},
         timeout=10,
@@ -295,11 +309,12 @@ def test_compute_at_max_dimension_finishes():
     # the largest context at the dimension ceiling, in a fresh interpreter under a timeout
     root = Path(__file__).resolve().parents[1]
     golden = root / "tests" / "golden"
-    assert f"dimension {MAX_DIMENSION}\n" in (golden / "max_dimension.th").read_text()
+    text = (golden / "max_dimension.th").read_text(encoding="utf-8")
+    assert f"dimension {MAX_DIMENSION}\n" in text
     done = subprocess.run(
         [sys.executable, "-m", "holanom.cli", "compute", "max_dimension.th"],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         cwd=golden,
         env=os.environ | {"PYTHONPATH": str(root / "src")},
         timeout=10,
@@ -336,7 +351,8 @@ def test_compute_grav_keys_match_chern_root_oracle(tmp_path, capsys, n, parity, 
     lam = random_rational(rng, 7, 6)
     path = tmp_path / "raw.th"
     path.write_text(
-        f"dimension {n}\nmultiplet raw parity {parity} k {lam} rep trivial 1 copies {copies}\n"
+        f"dimension {n}\nmultiplet raw parity {parity} k {lam} rep trivial 1 copies {copies}\n",
+        encoding="utf-8",
     )
     assert run(["compute", str(path)]) == 0
     pairs = [line.split(" = ") for line in capsys.readouterr().out.splitlines()]
@@ -357,7 +373,9 @@ def test_compute_grav_keys_match_chern_root_oracle(tmp_path, capsys, n, parity, 
 
 def test_compute_grav_keys_lead_text_and_json(tmp_path, capsys):
     path = tmp_path / "gauged.th"
-    path.write_text("dimension 3\ngauge su 2\nmultiplet raw parity even k 1/2 rep fundamental\n")
+    path.write_text(
+        "dimension 3\ngauge su 2\nmultiplet raw parity even k 1/2 rep fundamental\n", encoding="utf-8"
+    )
     assert run(["compute", str(path)]) == 0
     keys = [line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()]
     assert keys[:3] == ["grav.g1^4", "grav.g1^2*g2", "grav.g1*g3"]
@@ -375,7 +393,9 @@ def test_compute_rejects_dimension_above_ceiling(tmp_path, capsys, monkeypatch, 
 
     monkeypatch.setattr(chern, "GeneratorSet", no_context)
     path = tmp_path / "huge.th"
-    path.write_text(f"dimension {dimension}\nmultiplet raw parity even k 1/3 rep trivial 1\n")
+    path.write_text(
+        f"dimension {dimension}\nmultiplet raw parity even k 1/3 rep trivial 1\n", encoding="utf-8"
+    )
     assert run(["compute", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

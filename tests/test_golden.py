@@ -90,6 +90,8 @@ CASES = [
     "compute huge_coefficient.th",
     "compute copies_over_digit_limit.th",
     "compute r_over_digit_limit.th",
+    "compute bom.th",
+    "compute not_utf8.th",
 ]
 
 
@@ -108,11 +110,17 @@ def transcript(case: str) -> dict:
 
 @pytest.fixture(scope="module")
 def recorded():
-    return json.loads(TRANSCRIPTS.read_text())
+    return json.loads(TRANSCRIPTS.read_text(encoding="utf-8"))
 
 
 def test_transcripts_cover_exactly_the_cases(recorded):
     assert list(recorded) == CASES
+
+
+def test_byte_order_mark_is_ignored(recorded):
+    # bom.th is line.th behind a UTF-8 byte-order mark, and reads the same
+    assert (GOLDEN / "bom.th").read_bytes() == b"\xef\xbb\xbf" + (GOLDEN / "line.th").read_bytes()
+    assert recorded["compute bom.th"] == recorded["compute line.th"]
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -121,4 +129,5 @@ def test_cli_matches_transcript(case, recorded):
 
 
 if __name__ == "__main__":
-    TRANSCRIPTS.write_text(json.dumps({case: transcript(case) for case in CASES}, indent=1) + "\n")
+    transcripts = {case: transcript(case) for case in CASES}
+    TRANSCRIPTS.write_text(json.dumps(transcripts, indent=1) + "\n", encoding="utf-8")

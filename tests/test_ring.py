@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from holanom.chern import gravitational_context, todd, twist_context
+from holanom.chern import gravitational_context, todd, twist_context, untwisted_context
 from holanom.ring import (
     GeneratorMismatch,
     GeneratorSet,
@@ -21,6 +21,8 @@ from holanom.ring import (
 
 from oracles import (
     from_graded,
+    monomial_count,
+    naive_degree,
     naive_exp,
     naive_homogeneous_monomials,
     naive_log,
@@ -65,15 +67,45 @@ def test_homogeneous_monomials_degree_six():
     assert homogeneous_monomials(CTX2, 6) == [(3, 0), (1, 1)]
 
 
-@pytest.mark.parametrize("n", range(1, 10))
-def test_homogeneous_monomials_match_brute_force(n):
-    for simple in (False, True):
-        for abelian in (False, True):
-            ctx = twist_context(n, simple, abelian)
-            for degree in range(ctx.cap + 1):
-                assert homogeneous_monomials(ctx, degree) == naive_homogeneous_monomials(
-                    ctx.degrees, degree
-                ), (ctx.names, degree)
+# rings whose first generator cannot fill every remainder, and one that is not a twist ring
+OTHER_RINGS = {
+    "first-4": GeneratorSet(("a", "b", "c"), (4, 2, 6), 24),
+    "first-6": GeneratorSet(("a",), (6,), 18),
+    "first-10": GeneratorSet(("a", "b", "c"), (10, 2, 2), 20),
+    "untwisted": untwisted_context(),
+}
+
+
+def four_twist_contexts(n):
+    return [twist_context(n, simple, abelian) for simple in (False, True) for abelian in (False, True)]
+
+
+@pytest.mark.parametrize("ring", [*range(1, 10), *OTHER_RINGS])
+def test_homogeneous_monomials_match_brute_force(ring):
+    contexts = four_twist_contexts(ring) if isinstance(ring, int) else [OTHER_RINGS[ring]]
+    for ctx in contexts:
+        for degree in range(-2, ctx.cap + 3):
+            assert homogeneous_monomials(ctx, degree) == naive_homogeneous_monomials(
+                ctx.degrees, degree
+            ), (ctx.names, degree)
+
+
+def test_homogeneous_monomials_of_the_empty_ring():
+    empty = GeneratorSet((), (), 4)
+    assert homogeneous_monomials(empty, 0) == [()]
+    for degree in (-2, -1, 1, 2, 4, 6):
+        assert homogeneous_monomials(empty, degree) == []
+
+
+@pytest.mark.parametrize("n", range(10, 21))
+def test_homogeneous_monomials_count_and_order_past_brute_force(n):
+    # strictly descending, of the right degree and as many as the Hilbert series counts:
+    # together these pin both the set and the order
+    for ctx in four_twist_contexts(n):
+        found = homogeneous_monomials(ctx, 2 * n + 2)
+        assert all(a > b for a, b in zip(found, found[1:]))
+        assert all(naive_degree(e, ctx.degrees) == 2 * n + 2 for e in found)
+        assert len(found) == monomial_count(ctx.degrees, 2 * n + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -120,23 +152,31 @@ def test_mul_hand_expansion():
     assert product == 1 - g1**2 * F(1, 4)
 
 
+PRODUCT_RINGS = [
+    CTX2,
+    *(ctx for n in range(1, 4) for ctx in four_twist_contexts(n)),
+    untwisted_context(),
+]
+
+
 def test_mul_against_oracle():
     rng = random.Random(7)
-    for _ in range(300):
-        a = random_graded_poly(rng, CTX2)
-        b = random_graded_poly(rng, CTX2)
-        expected = naive_mul(from_graded(a), from_graded(b), CTX2.degrees, CTX2.cap)
-        assert from_graded(a * b) == expected
+    for ctx in PRODUCT_RINGS:
+        for _ in range(300 if ctx == CTX2 else 100):
+            a = random_graded_poly(rng, ctx)
+            b = random_graded_poly(rng, ctx)
+            expected = naive_mul(from_graded(a), from_graded(b), ctx.degrees, ctx.cap)
+            assert from_graded(a * b) == expected, ctx.names
 
 
 def test_product_component_matches_full_product():
     rng = random.Random(11)
-    for ctx in (CTX2, twist_context(3, simple=True, abelian=True)):
-        for _ in range(150):
+    for ctx in PRODUCT_RINGS:
+        for _ in range(150 if ctx == CTX2 else 50):
             a = random_graded_poly(rng, ctx, max_terms=6)
             b = random_graded_poly(rng, ctx, max_terms=6)
-            for degree in range(0, ctx.cap + 3, 2):
-                assert a.product_component(b, degree) == (a * b).component(degree)
+            for degree in range(-2, ctx.cap + 3):
+                assert a.product_component(b, degree) == (a * b).component(degree), ctx.names
 
 
 # ---------------------------------------------------------------------------
