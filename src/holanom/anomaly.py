@@ -194,12 +194,11 @@ def anomaly_in_r(theory: Theory) -> list[GradedPoly]:
     n, ctx = theory.dimension, context_for_theory(theory)
     marked = [replace(m, r=0) for m in theory.multiplets if isinstance(m, Chiral) and m.unknown_r]
     ch = ch_content(FieldContent(n, tuple(p for m in marked for p in multiplet_atoms(m, None))), ctx)
-    td, g1 = todd(n, ctx), ctx.index("g1")
+    td, g1 = todd(n, ctx), GradedPoly.generator(ctx, "g1")
     coefficients = [theory_anomaly(with_unknown_r(theory, 0))[1]]
     for b in range(1, n + 2):
         scale = Fraction(-1, 2) ** b / factorial(b)
-        shifted = {e[:g1] + (e[g1] + b,) + e[g1 + 1 :]: c * scale for e, c in ch.terms()}
-        coefficients.append(td.product_component(GradedPoly(ctx, shifted), 2 * n + 2))
+        coefficients.append(td.product_component(ch * g1**b, 2 * n + 2) * scale)
     return coefficients
 
 

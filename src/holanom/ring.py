@@ -10,15 +10,19 @@ Representation:
 
   GeneratorSet -- ordered (name, degree) pairs plus the cap.
   GradedPoly   -- map from exponent tuples (one entry per generator, in
-                  GeneratorSet order) to non-zero Fraction coefficients;
-                  the zero polynomial is the empty map.
+                  GeneratorSet order) to non-zero integer numerators over
+                  one positive denominator, as FLINT's fmpq_poly; the zero
+                  polynomial is the empty map over 1.
 
-Coefficients are ``fractions.Fraction``, so arithmetic is exact, never
-overflows, and results are always in lowest terms with positive
-denominator.  All generators have even degree, so the ring is honestly
-commutative and no Koszul signs arise.  Values are immutable after
-construction; every operation returns a new polynomial.  render_sum writes
-the text form of str(GradedPoly) and of univariate.format_poly.
+Each operation works on plain integers and reduces its result to lowest
+terms once (the gcd of the denominator and all numerators is 1), so equal
+polynomials store equal data; coefficient, terms, constant_term and str
+give exact ``fractions.Fraction`` values.  Results the ring builds itself
+skip the public constructor's validation.  All generators have even
+degree, so the ring is honestly commutative and no Koszul signs arise.
+Values are immutable; every operation returns a new polynomial.
+render_sum writes the text form of str(GradedPoly) and of
+univariate.format_poly.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import factorial
+from math import factorial, gcd, lcm
 from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -79,6 +83,13 @@ def parse_rational(token: str) -> Fraction:
     if q == 0:
         raise ValueError(f"malformed rational {token!r} (zero denominator)")
     return Fraction(p, q)
+
+
+def exact_rational(value) -> Fraction:
+    """The value as a Fraction; only int and Fraction are exact, anything else is a TypeError."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an int or Fraction, got {type(value).__name__} {value!r}")
+    return Fraction(value)
 
 
 def format_rational(value: RationalLike) -> str:
@@ -202,24 +213,43 @@ class GradedPoly:
     loss.
     """
 
-    __slots__ = ("ctx", "_terms")
+    __slots__ = ("ctx", "_num", "_den")
 
     def __init__(self, ctx: GeneratorSet, terms: Union[Mapping, Iterable] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        collected: dict[tuple[int, ...], Fraction] = {}
-        for exponents, coeff in items:
-            exponents = ctx.monomial(exponents)
-            if ctx.degree(exponents) > ctx.cap:
-                continue
-            coeff = Fraction(coeff)
-            if coeff:
-                total = collected.get(exponents, Fraction(0)) + coeff
-                if total:
-                    collected[exponents] = total
-                else:
-                    collected.pop(exponents, None)
+        checked = ((ctx.monomial(e), exact_rational(c)) for e, c in items)
+        parts = [({e: c.numerator}, c.denominator) for e, c in checked if ctx.degree(e) <= ctx.cap]
+        self._settle(ctx, parts)
+
+    def _settle(self, ctx: GeneratorSet, parts: list):
+        """Store the sum of (numerators, denominator > 0) parts in lowest terms, zeros dropped.
+        The parts add pairwise as a balanced tree, each pair over the lcm of its denominators
+        (Bernstein, "Fast multiplication and its applications", 2008): a left fold would carry
+        the growing common denominator through every addition.  Only the total is reduced."""
+        while len(parts) > 1:
+            pairs = []
+            for (na, da), (nb, db) in zip(parts[::2], parts[1::2]):
+                g = gcd(da, db)
+                total = {e: c * (db // g) for e, c in na.items()}
+                for e, c in nb.items():
+                    total[e] = total.get(e, 0) + c * (da // g)
+                pairs.append((total, da // g * db))
+            parts = pairs + parts[2 * len(pairs):]
+        num, den = parts[0] if parts else ({}, 1)
+        num = {e: c for e, c in num.items() if c}
+        g = gcd(den, *num.values())
+        if g != 1:
+            num, den = {e: c // g for e, c in num.items()}, den // g
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "_terms", collected)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _build(cls, ctx: GeneratorSet, parts: list) -> "GradedPoly":
+        """The sum of parts the ring built itself, which fit ctx under its cap: unvalidated."""
+        self = object.__new__(cls)
+        self._settle(ctx, parts)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedPoly is immutable")
@@ -228,39 +258,38 @@ class GradedPoly:
 
     @classmethod
     def zero(cls, ctx: GeneratorSet) -> "GradedPoly":
-        return cls(ctx)
+        return cls._build(ctx, [])
 
     @classmethod
     def constant(cls, ctx: GeneratorSet, value: RationalLike) -> "GradedPoly":
-        return cls(ctx, {(0,) * len(ctx.names): Fraction(value)})
+        value = exact_rational(value)
+        return cls._build(ctx, [({(0,) * len(ctx.names): value.numerator}, value.denominator)])
 
     @classmethod
     def generator(cls, ctx: GeneratorSet, name: str) -> "GradedPoly":
-        return cls(ctx, {ctx.monomial({name: 1}): Fraction(1)})
+        return cls._build(ctx, [({ctx.monomial({name: 1}): 1}, 1)])
 
     # -- inspection --------------------------------------------------------
 
-    def terms(self):
-        """Iterate (exponent tuple, coefficient) pairs; order unspecified."""
-        return self._terms.items()
+    def terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        """(exponent tuple, coefficient) pairs; order unspecified."""
+        return [(e, Fraction(c, self._den)) for e, c in self._num.items()]
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     @property
     def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * len(self.ctx.names), Fraction(0))
+        return Fraction(self._num.get((0,) * len(self.ctx.names), 0), self._den)
 
     def coefficient(self, monomial) -> Fraction:
         """Exact coefficient of a monomial ({name: exp} mapping or exponent tuple)."""
-        return self._terms.get(self.ctx.monomial(monomial), Fraction(0))
+        return Fraction(self._num.get(self.ctx.monomial(monomial), 0), self._den)
 
     def component(self, degree: int) -> "GradedPoly":
         """The homogeneous part of the given degree (zero if out of range)."""
-        return GradedPoly(
-            self.ctx,
-            {e: c for e, c in self._terms.items() if self.ctx.degree(e) == degree},
-        )
+        kept = {e: c for e, c in self._num.items() if self.ctx.degree(e) == degree}
+        return GradedPoly._build(self.ctx, [(kept, self._den)])
 
     def product_component(self, other: "GradedPoly", degree: int) -> "GradedPoly":
         """The degree-``degree`` component of self * other, without the rest; equal to
@@ -269,7 +298,7 @@ class GradedPoly:
 
     def homogeneous_degree(self) -> Union[int, None]:
         """The common degree of all terms, or None if mixed; 0 for the zero polynomial."""
-        degrees = {self.ctx.degree(e) for e in self._terms}
+        degrees = {self.ctx.degree(e) for e in self._num}
         if not degrees:
             return 0
         if len(degrees) == 1:
@@ -293,15 +322,12 @@ class GradedPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        merged = dict(self._terms)
-        for e, c in other._terms.items():
-            merged[e] = merged.get(e, Fraction(0)) + c
-        return GradedPoly(self.ctx, merged)
+        return GradedPoly._build(self.ctx, [(self._num, self._den), (other._num, other._den)])
 
     __radd__ = __add__
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly(self.ctx, {e: -c for e, c in self._terms.items()})
+        return GradedPoly._build(self.ctx, [({e: -c for e, c in self._num.items()}, self._den)])
 
     def __sub__(self, other) -> "GradedPoly":
         other = self._coerce(other)
@@ -314,8 +340,8 @@ class GradedPoly:
 
     def __mul__(self, other) -> "GradedPoly":
         if isinstance(other, (int, Fraction)):
-            scalar = Fraction(other)
-            return GradedPoly(self.ctx, {e: c * scalar for e, c in self._terms.items()})
+            scaled = {e: c * other.numerator for e, c in self._num.items()}
+            return GradedPoly._build(self.ctx, [(scaled, self._den * other.denominator)])
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -327,24 +353,26 @@ class GradedPoly:
         """The part of self * other in the given degrees, the one product loop of the ring.
 
         The terms of other are bucketed by degree, and each term of self is paired only with
-        the buckets that complete one of the wanted degrees: one lookup per wanted degree,
-        and no pair whose product lands outside them is formed.
+        the buckets that complete one of the wanted degrees at most the cap: one lookup per
+        wanted degree, and no pair whose product lands outside them is formed.  Numerators
+        multiply as integers over the product of the two denominators.
         """
         ctx = self.ctx
+        degrees = [degree for degree in degrees if degree <= ctx.cap]
         by_degree: dict[int, list] = {}
-        for eb, cb in other._terms.items():
+        for eb, cb in other._num.items():
             by_degree.setdefault(ctx.degree(eb), []).append((eb, cb))
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in self._terms.items():
+        out: dict[tuple[int, ...], int] = {}
+        for ea, ca in self._num.items():
             da = ctx.degree(ea)
             for degree in degrees:
                 for eb, cb in by_degree.get(degree - da, ()):
                     key = tuple(map(add, ea, eb))
-                    out[key] = out.get(key, Fraction(0)) + ca * cb
-        return GradedPoly(ctx, out)
+                    out[key] = out.get(key, 0) + ca * cb
+        return GradedPoly._build(ctx, [(out, self._den * other._den)])
 
     def __truediv__(self, scalar) -> "GradedPoly":
-        return self * (Fraction(1) / Fraction(scalar))
+        return self * (1 / exact_rational(scalar))
 
     def __pow__(self, exponent: int) -> "GradedPoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -359,7 +387,7 @@ class GradedPoly:
             other = GradedPoly.constant(self.ctx, other)
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        return self.ctx == other.ctx and self._terms == other._terms
+        return self.ctx == other.ctx and self._den == other._den and self._num == other._num
 
     __hash__ = None
 
@@ -400,36 +428,36 @@ class GradedPoly:
         for poly in images.values():
             if poly.ctx != target:
                 raise GeneratorMismatch("substitution images must live in the target ring")
-        out = GradedPoly.zero(target)
-        for exponents, coeff in self._terms.items():
-            term = GradedPoly.constant(target, coeff)
+        parts = []
+        for exponents, numerator in self._num.items():
+            term = GradedPoly.constant(target, numerator)
             for name, e in zip(self.ctx.names, exponents):
                 if e == 0:
                     continue
                 if name not in images:
                     raise GeneratorMismatch(f"no substitution image for generator {name!r}")
                 term = term * images[name] ** e
-            out = out + term
-        return out
+            parts.append((term._num, term._den * self._den))
+        return GradedPoly._build(target, parts)
 
     def evaluate(self, values: Mapping[str, RationalLike]) -> Fraction:
         """Evaluate the stored (truncated) terms at rational generator values."""
         total = Fraction(0)
-        for exponents, coeff in self._terms.items():
+        for exponents, coeff in self.terms():
             product = coeff
             for name, e in zip(self.ctx.names, exponents):
                 if e == 0:
                     continue
                 if name not in values:
                     raise GeneratorMismatch(f"no value supplied for generator {name!r}")
-                product *= Fraction(values[name]) ** e
+                product *= exact_rational(values[name]) ** e
             total += product
         return total
 
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        ordered = sorted(self._terms.items(), key=lambda item: (self.ctx.degree(item[0]), item[0]))
+        ordered = sorted(self.terms(), key=lambda item: (self.ctx.degree(item[0]), item[0]))
         return render_sum((coeff, self.ctx.monomial_name(e)) for e, coeff in ordered)
 
     __repr__ = __str__

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Union
 
 from .chern import Atom, FieldContent, GaugeGroup, GaugeRep, Kpow, adjoint
-from .ring import RationalLike
+from .ring import RationalLike, exact_rational
 
 
 class ConfigurationError(ValueError):
@@ -52,7 +52,7 @@ class Chiral:
     unknown_r: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "r", Fraction(self.r))
+        object.__setattr__(self, "r", exact_rational(self.r))
         _check_copies(self.copies)
 
 
@@ -197,7 +197,7 @@ def require_unknown_r(theory: Theory) -> None:
 
 def with_unknown_r(theory: Theory, value: RationalLike) -> Theory:
     """The theory with every unknown-marked chiral set to the given R-charge."""
-    value = Fraction(value)
+    value = exact_rational(value)
     multiplets = tuple(
         replace(m, r=value, unknown_r=False)
         if isinstance(m, Chiral) and m.unknown_r

@@ -15,7 +15,7 @@ import itertools
 import re
 from dataclasses import replace
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm, log10
 from operator import mul
 from typing import Sequence
 
@@ -113,6 +113,15 @@ def monomial_count(degrees, degree):
 def from_graded(poly):
     """Dump a package polynomial into the naive representation."""
     return {exps: coeff for exps, coeff in poly.terms()}
+
+
+def is_canonical(poly):
+    """True when the stored integer numerators over one denominator are in lowest terms, as
+    equality needs: denominator > 0, no zero numerator, gcd 1 over all of them, and the public
+    constructor given the polynomial's own terms rebuilds it exactly."""
+    num, den = poly._num, poly._den
+    return (den > 0 and all(num.values()) and gcd(den, *num.values()) == 1
+            and GradedPoly(poly.ctx, dict(poly.terms())) == poly)
 
 
 _NAIVE_GAUGE_DEGREES = {"f1": 2, "s2": 4, "s3": 6}
@@ -500,6 +509,24 @@ def random_rational(rng, max_num=9, max_den=5):
     num = rng.randint(-max_num, max_num)
     den = rng.randint(1, max_den)
     return Fraction(num, den)
+
+
+def coprime_big_rationals(rng, count):
+    """count <= 8 rationals, numerators up to 10^30 in size, denominators pairwise coprime and up
+    to 10^30: each a power of its own prime."""
+    primes = rng.sample((2, 3, 5, 7, 11, 13, 17, 19), count)
+    return [Fraction(rng.randint(-10**30, 10**30), p ** rng.randint(0, int(30 / log10(p))))
+            for p in primes]
+
+
+def random_big_poly(rng, ctx, max_terms=6):
+    """Like random_graded_poly, with coefficients from coprime_big_rationals."""
+    terms = {}
+    for coeff in coprime_big_rationals(rng, rng.randint(0, max_terms)):
+        exps = tuple(rng.randint(0, ctx.cap // d) for d in ctx.degrees)
+        if naive_degree(exps, ctx.degrees) <= ctx.cap:
+            terms[exps] = coeff
+    return GradedPoly(ctx, terms)
 
 
 def random_graded_poly(rng, ctx, max_terms=4, max_num=6, max_den=4):

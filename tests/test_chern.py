@@ -42,8 +42,10 @@ from oracles import (
     _newton,
     ch_from_c,
     ch_of_roots,
+    coprime_big_rationals,
     elementary_symmetric,
     from_graded,
+    is_canonical,
     naive_ch_content,
     pushforward_curve_square_zero,
     random_graded_poly,
@@ -270,6 +272,41 @@ def test_ch_content_matches_naive_oracle():
         assert from_graded(ch_content(content, ctx)) == expected
         compared += 1
     assert compared >= 150 and refused >= 50
+
+
+def test_ch_content_matches_oracle_on_big_coprime_denominators():
+    # lam, t2, t3 and q of each atom have pairwise coprime denominators up to 10^30, and every
+    # content has an even and an odd atom
+    rng = random.Random(59)
+    for n in range(1, 5):
+        for simple in (False, True):
+            for abelian in (False, True):
+                ctx = twist_context(n, simple, abelian)
+                for _ in range(4):
+                    pieces = []
+                    for parity in rng.sample(["even", "odd", rng.choice(["even", "odd"])], 3):
+                        lam, t2, t3, q = coprime_big_rationals(rng, 4)
+                        rep = GaugeRep(rng.randint(1, 4), *((t2, t3) if simple else (0, 0)), q if abelian else 0)
+                        geom = rng.choice([Kpow(lam), Kpow(lam), TANGENT, COTANGENT])
+                        pieces.append((rng.choice([-3, -1, 1, 2]), Atom(geom, rep, parity)))
+                    content = FieldContent(n, tuple(pieces))
+                    ch = ch_content(content, ctx)
+                    assert from_graded(ch) == naive_ch_content(content, ctx.names, ctx.degrees, ctx.cap)
+                    assert is_canonical(ch)
+
+
+@pytest.mark.parametrize("inexact", [0.1, "1/2", None])
+def test_inexact_charges_and_powers_are_refused(inexact):
+    for build in (
+        lambda: Kpow(inexact),
+        lambda: GaugeRep(1, inexact),
+        lambda: GaugeRep(1, 0, inexact),
+        lambda: GaugeRep(1, 0, 0, inexact),
+        lambda: pushforward_curve(GradedPoly.zero(gravitational_context(2)), 1, inexact),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    assert Kpow(1).power == 1 and GaugeRep(1, 2, F(1, 3), -1).t3 == F(1, 3)
 
 
 @pytest.mark.parametrize(

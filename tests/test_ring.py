@@ -14,19 +14,23 @@ from holanom.ring import (
     GeneratorSet,
     GradedPoly,
     SeriesDomainError,
+    exact_rational,
     format_rational,
     homogeneous_monomials,
     parse_rational,
 )
 
 from oracles import (
+    coprime_big_rationals,
     from_graded,
+    is_canonical,
     monomial_count,
     naive_degree,
     naive_exp,
     naive_homogeneous_monomials,
     naive_log,
     naive_mul,
+    random_big_poly,
     random_graded_poly,
     random_rational,
 )
@@ -160,11 +164,12 @@ PRODUCT_RINGS = [
 
 
 def test_mul_against_oracle():
+    # small coefficients, then coefficients with pairwise coprime denominators up to 10^30
     rng = random.Random(7)
     for ctx in PRODUCT_RINGS:
-        for _ in range(300 if ctx == CTX2 else 100):
-            a = random_graded_poly(rng, ctx)
-            b = random_graded_poly(rng, ctx)
+        for make in [random_graded_poly] * (300 if ctx == CTX2 else 100) + [random_big_poly] * 30:
+            a = make(rng, ctx)
+            b = make(rng, ctx)
             expected = naive_mul(from_graded(a), from_graded(b), ctx.degrees, ctx.cap)
             assert from_graded(a * b) == expected, ctx.names
 
@@ -172,11 +177,27 @@ def test_mul_against_oracle():
 def test_product_component_matches_full_product():
     rng = random.Random(11)
     for ctx in PRODUCT_RINGS:
-        for _ in range(150 if ctx == CTX2 else 50):
-            a = random_graded_poly(rng, ctx, max_terms=6)
-            b = random_graded_poly(rng, ctx, max_terms=6)
+        for make in [random_graded_poly] * (150 if ctx == CTX2 else 50) + [random_big_poly] * 20:
+            a = make(rng, ctx, max_terms=6)
+            b = make(rng, ctx, max_terms=6)
             for degree in range(-2, ctx.cap + 3):
                 assert a.product_component(b, degree) == (a * b).component(degree), ctx.names
+
+
+def test_results_are_in_canonical_form():
+    # equality compares the stored maps, so every result must be in lowest terms
+    rng = random.Random(19)
+    for ctx in PRODUCT_RINGS:
+        for _ in range(20):
+            a, b = (rng.choice([random_graded_poly, random_big_poly])(rng, ctx) for _ in range(2))
+            scalar = rng.choice([random_rational(rng), *coprime_big_rationals(rng, 1)]) or F(6, 35)
+            results = [a + b, a - b, a - a, b + a, a * b, a * scalar, scalar * a, a * 0, a / scalar, -a]
+            results += [a.component(d) for d in range(-2, ctx.cap + 3)]
+            results += [a.product_component(b, d) for d in range(-2, ctx.cap + 3)]
+            for result in results:
+                assert is_canonical(result), (ctx.names, result)
+    assert GradedPoly(CTX2, {(1, 0): F(1, 2), (0, 1): F(-1, 2)})._den == 2
+    assert (GradedPoly(CTX2, {(1, 0): F(3, 2)}) * F(2, 3))._den == 1
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +338,25 @@ def test_arbitrary_precision_and_lowest_terms():
     from math import gcd
 
     assert gcd(value.numerator, value.denominator) == 1
+
+
+@pytest.mark.parametrize("inexact", [0.1, 1.0, "0.1", "1", None])
+def test_inexact_values_are_refused(inexact):
+    g1 = gen(CTX2, "g1")
+    for build in (
+        lambda: exact_rational(inexact),
+        lambda: GradedPoly(CTX2, {(1, 0): inexact}),
+        lambda: GradedPoly(CTX2, {(9, 9): inexact}),  # above the cap, still checked
+        lambda: GradedPoly.constant(CTX2, inexact),
+        lambda: g1 * inexact,
+        lambda: g1 + inexact,
+        lambda: g1 / inexact,
+        lambda: g1.evaluate({"g1": inexact}),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    assert exact_rational(3) == 3 and type(exact_rational(3)) is F
+    assert exact_rational(F(1, 3)) == F(1, 3)
 
 
 # ---------------------------------------------------------------------------

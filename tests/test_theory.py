@@ -323,3 +323,12 @@ def test_with_unknown_r_substitutes_all_marks():
     charges = [m.r for m in pinned.multiplets if isinstance(m, Chiral)]
     assert charges == [F(-1, 2), F(-1, 2)]
     assert not any(getattr(m, "unknown_r", False) for m in pinned.multiplets)
+
+
+@pytest.mark.parametrize("inexact", [-0.5, "-1/3", None])
+def test_inexact_r_charges_are_refused(inexact):
+    with pytest.raises(TypeError):
+        Chiral(inexact, trivial(1))
+    with pytest.raises(TypeError):
+        with_unknown_r(_sqcd_template(2, 4), inexact)
+    assert Chiral(-1, trivial(1)).r == -1
